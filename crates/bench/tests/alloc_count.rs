@@ -9,25 +9,45 @@
 //! per-lookup allocation fails tier-1 here — long before criterion noise
 //! could hide it.
 //!
-//! Every measurement takes the shared [`measure_lock`], so parallel test
-//! threads never pollute each other's window — essential now that the
-//! streaming-vs-eager peak-heap tests below run whole campaigns (millions
-//! of allocations) in the same binary as the ≤12-alloc resolve budgets.
+//! Allocation counts are per thread: [`count_allocs`] counts only the
+//! calling thread's allocations, on that thread's own counter, so
+//! sibling tests running in parallel never leak into a window. Peak
+//! heap is a process-wide quantity, so the campaign peak-heap tests
+//! hold [`exclusive_process_lock`] for their whole body while every
+//! other test holds [`process_lock`]: no other test allocates while a
+//! peak is being measured.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use spfail_dns::{Directory, Name, RecordType, Resolver, StaticAuthority, ZoneBuilder};
 use spfail_netsim::{Link, SimClock, SimRng};
 
 struct CountingAllocator;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Depth of measurement scopes; counting only while > 0 keeps test-harness
-/// bookkeeping out of the numbers.
-static MEASURING: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Whether this thread is inside a [`count_allocs`] window. Counting
+    /// only here keeps other threads and test-harness bookkeeping out of
+    /// the numbers.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+    /// This thread's allocations inside measurement windows.
+    /// Const-initialised like [`MEASURING`], so touching either from
+    /// the allocator never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation if this thread is measuring.
+fn note_alloc() {
+    // `try_with` fails only during thread teardown, when nothing is
+    // being measured.
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+    }
+}
+
 /// Live heap bytes right now. Tracked from the first allocation of the
 /// process, so every dealloc pairs with a tracked alloc and the counter
 /// never underflows.
@@ -37,9 +57,7 @@ static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if MEASURING.load(Ordering::Relaxed) > 0 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         let now = CURRENT_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed)
             + layout.size() as u64;
         PEAK_BYTES.fetch_max(now, Ordering::Relaxed);
@@ -52,9 +70,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if MEASURING.load(Ordering::Relaxed) > 0 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         CURRENT_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         let now =
             CURRENT_BYTES.fetch_add(new_size as u64, Ordering::Relaxed) + new_size as u64;
@@ -66,29 +82,35 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Serialises measurement windows across test threads.
-fn measure_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    // A poisoned lock only means another measurement test failed; the
-    // window itself is still exclusive.
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+static PROCESS: RwLock<()> = RwLock::new(());
+
+/// Shared use of the process: every test that does not measure peak
+/// heap holds this for its whole body.
+fn process_lock() -> RwLockReadGuard<'static, ()> {
+    // A poisoned lock only means another test failed; the exclusion it
+    // provides still holds.
+    PROCESS.read().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Heap allocations performed by `f`.
+/// Exclusive use of the process, for the peak-heap tests: no other test
+/// allocates while it is held.
+fn exclusive_process_lock() -> RwLockWriteGuard<'static, ()> {
+    PROCESS.write().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Heap allocations performed by `f` on the calling thread.
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let _window = measure_lock();
-    MEASURING.fetch_add(1, Ordering::SeqCst);
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = ALLOCS.with(Cell::get);
+    MEASURING.with(|m| m.set(true));
     let out = f();
-    let after = ALLOCS.load(Ordering::SeqCst);
-    MEASURING.fetch_sub(1, Ordering::SeqCst);
-    (after - before, out)
+    MEASURING.with(|m| m.set(false));
+    (ALLOCS.with(Cell::get) - before, out)
 }
 
 /// Peak heap growth of `f` over the live bytes at entry — the
 /// high-water mark a campaign's working set reaches above its baseline.
+/// The caller must hold [`exclusive_process_lock`].
 fn peak_heap<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let _window = measure_lock();
     let baseline = CURRENT_BYTES.load(Ordering::SeqCst);
     PEAK_BYTES.store(baseline, Ordering::SeqCst);
     let out = f();
@@ -133,6 +155,7 @@ const CACHED_HIT_BUDGET: u64 = 3;
 
 #[test]
 fn resolve_hot_path_stays_within_allocation_budget() {
+    let _process = process_lock();
     let (mut resolver, mut rng) = fixture();
     let qname = n("mail.example.com");
 
@@ -173,6 +196,7 @@ fn resolve_hot_path_stays_within_allocation_budget() {
 /// multi-record path (TXT rdata carries owned strings) also stays flat.
 #[test]
 fn txt_resolve_allocation_budget() {
+    let _process = process_lock();
     let (mut resolver, mut rng) = fixture();
     let qname = n("example.com");
     resolver
@@ -204,6 +228,7 @@ fn txt_resolve_allocation_budget() {
 /// label), capped here so instrumentation creep shows up in tier-1.
 #[test]
 fn tracing_allocation_budget() {
+    let _process = process_lock();
     use spfail_trace::{TraceConfig, Tracer};
 
     let cached_hit = |resolver: &mut Resolver, rng: &mut SimRng, qname: &Name| {
@@ -275,6 +300,7 @@ const PER_SPAN_TRACING_BUDGET: u64 = 4;
 /// individual cases vary widely (include chains, void pileups).
 #[test]
 fn conformance_oracle_per_case_allocation_budget() {
+    let _process = process_lock();
     use spfail_conformance::{generate_case, run_case};
 
     const SEED: u64 = 0x5bf5_fa11;
@@ -305,6 +331,7 @@ fn conformance_oracle_per_case_allocation_budget() {
 /// a per-term or per-byte allocation silently.
 #[test]
 fn policy_cache_allocation_budget() {
+    let _process = process_lock();
     use std::net::IpAddr;
 
     use spfail_spf::{PolicyCache, SpfResult};
@@ -361,6 +388,46 @@ const COLD_COMPILE_BUDGET: u64 = 12;
 /// cases get richer.
 const PER_CASE_ORACLE_BUDGET: u64 = 1400;
 
+/// Writing a checkpoint renders the session's own maps straight into a
+/// buffered file: no copy of the sweep results or the trace, no
+/// per-field temporaries. What is left is a fixed handful per call —
+/// the temp path, the write buffer, the sorted key lists (one per map,
+/// one per round), and the worker exports.
+#[test]
+fn checkpoint_write_allocation_budget() {
+    use spfail_prober::CampaignBuilder;
+    use spfail_world::{World, WorldConfig};
+
+    let _process = process_lock();
+    let world = World::generate(WorldConfig {
+        seed: 0x5bf2_a117,
+        scale: 0.004,
+        ..WorldConfig::default()
+    });
+    let mut session = CampaignBuilder::new().session(&world);
+    session.initial_sweep();
+    for _ in 0..3 {
+        session.advance_round();
+    }
+    let path = std::env::temp_dir().join(format!(
+        "spfail-alloc-count-checkpoint-{}.txt",
+        std::process::id()
+    ));
+    let (allocs, written) = count_allocs(|| session.checkpoint(&path));
+    std::fs::remove_file(&path).ok();
+    written.expect("write checkpoint");
+    eprintln!("alloc_count: Session::checkpoint = {allocs} allocs");
+    assert!(
+        allocs <= CHECKPOINT_WRITE_BUDGET,
+        "Session::checkpoint allocated {allocs} times, budget {CHECKPOINT_WRITE_BUDGET}"
+    );
+}
+
+/// Measured: 11 allocations for the checkpoint above; the budget is
+/// twice that. Cloning the session into a `CampaignState` and building
+/// the whole text as one `String` measured 5957 on the same session.
+const CHECKPOINT_WRITE_BUDGET: u64 = 22;
+
 /// Run one eager campaign and report (peak heap growth, hosts probed).
 fn eager_campaign_peak(config: &spfail_world::WorldConfig) -> (u64, usize) {
     use spfail_prober::CampaignBuilder;
@@ -393,6 +460,7 @@ fn streaming_campaign_peak(config: &spfail_world::WorldConfig) -> (u64, usize) {
 /// million-host soaks below pin at ≤25%.)
 #[test]
 fn streaming_campaign_peak_heap_stays_under_half_of_eager() {
+    let _process = exclusive_process_lock();
     let config = spfail_world::WorldConfig {
         seed: 0x5bf2_a117,
         scale: 0.01,
@@ -423,6 +491,7 @@ fn streaming_campaign_peak_heap_stays_under_half_of_eager() {
 #[test]
 #[ignore = "release-mode soak (~50K hosts); run with --ignored"]
 fn streaming_peak_heap_is_quarter_of_eager_at_50k_hosts() {
+    let _process = exclusive_process_lock();
     // Default demographics put ~191K unique server addresses at scale
     // 1.0, so 0.26 lands within a few percent of 50K hosts.
     let config = spfail_world::WorldConfig {
@@ -457,6 +526,7 @@ fn streaming_peak_heap_is_quarter_of_eager_at_50k_hosts() {
 #[test]
 #[ignore = "release-mode soak (~1M hosts, long); run with --ignored"]
 fn streaming_campaign_completes_a_million_host_world_within_budget() {
+    let _process = exclusive_process_lock();
     let config = spfail_world::WorldConfig {
         seed: 0x5bf2_a117,
         scale: 5.4,

@@ -13,17 +13,26 @@
 //! state round-trips bit-for-bit without a JSON parser dependency and
 //! diffs of two checkpoints are meaningful. [`CampaignState::to_text`]
 //! and [`CampaignState::parse`] are exact inverses.
+//!
+//! The file opens with a `spfail-checkpoint v2` magic line and closes
+//! with an `end <line-count>` trailer, so a file cut short at any point
+//! is rejected rather than resumed from a partial state. `v1` files
+//! (written before the trailer existed) still parse.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::fs::File;
+use std::io::{self, BufWriter};
 use std::net::IpAddr;
+use std::path::{Path, PathBuf};
 
 use spfail_libspf2::MacroBehavior;
 use spfail_netsim::{
     FaultPlan, FaultProfile, FlakyWindow, MetricsSnapshot, ProbeError, SimDuration, SimTime,
 };
 use spfail_smtp::client::TransactionOutcome;
-use spfail_trace::{escape_field, unescape_field, ProbeRecord, TraceConfig};
+use spfail_trace::{unescape_field, write_escaped, ProbeRecord, TraceConfig};
 use spfail_world::HostId;
 
 use crate::campaign::{CampaignBuilder, HostInitialResult, RoundStatus};
@@ -93,10 +102,20 @@ pub struct CampaignState {
     pub trace_records: Vec<ProbeRecord>,
 }
 
-const MAGIC: &str = "spfail-checkpoint v1";
+/// The magic line of the current text form, which ends in an
+/// `end <line-count>` trailer.
+const MAGIC: &str = "spfail-checkpoint v2";
+/// The magic line of files written before the trailer existed: they
+/// still parse, but a cut at a line boundary cannot be detected.
+const MAGIC_V1: &str = "spfail-checkpoint v1";
 
-fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+/// A float as its exact IEEE-754 bit pattern, in fixed-width hex.
+struct Hex(f64);
+
+impl fmt::Display for Hex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:016x}", self.0.to_bits())
+    }
 }
 
 fn parse_f64(tok: &str) -> Result<f64, String> {
@@ -155,18 +174,18 @@ fn parse_behavior(tok: &str) -> Result<MacroBehavior, String> {
     })
 }
 
-fn transaction_token(t: &TransactionOutcome) -> String {
+fn write_transaction(out: &mut impl fmt::Write, t: &TransactionOutcome) -> fmt::Result {
     match t {
-        TransactionOutcome::RejectedAtConnect(c) => format!("connect:{c}"),
-        TransactionOutcome::RejectedAtHello(c) => format!("hello:{c}"),
-        TransactionOutcome::RejectedAtMailFrom(c) => format!("mailfrom:{c}"),
-        TransactionOutcome::RejectedAtRcpt(c) => format!("rcpt:{c}"),
-        TransactionOutcome::RejectedAtData(c) => format!("data:{c}"),
-        TransactionOutcome::Transient { stage, code } => format!("transient:{stage}:{code}"),
-        TransactionOutcome::ConnectionReset => "reset".to_string(),
-        TransactionOutcome::NoMsgCompleted => "nomsg".to_string(),
-        TransactionOutcome::MessageAccepted(c) => format!("accepted:{c}"),
-        TransactionOutcome::MessageRejected(c) => format!("rejected:{c}"),
+        TransactionOutcome::RejectedAtConnect(c) => write!(out, "connect:{c}"),
+        TransactionOutcome::RejectedAtHello(c) => write!(out, "hello:{c}"),
+        TransactionOutcome::RejectedAtMailFrom(c) => write!(out, "mailfrom:{c}"),
+        TransactionOutcome::RejectedAtRcpt(c) => write!(out, "rcpt:{c}"),
+        TransactionOutcome::RejectedAtData(c) => write!(out, "data:{c}"),
+        TransactionOutcome::Transient { stage, code } => write!(out, "transient:{stage}:{code}"),
+        TransactionOutcome::ConnectionReset => out.write_str("reset"),
+        TransactionOutcome::NoMsgCompleted => out.write_str("nomsg"),
+        TransactionOutcome::MessageAccepted(c) => write!(out, "accepted:{c}"),
+        TransactionOutcome::MessageRejected(c) => write!(out, "rejected:{c}"),
     }
 }
 
@@ -205,16 +224,16 @@ fn parse_transaction(tok: &str) -> Result<TransactionOutcome, String> {
     })
 }
 
-fn dns_fault_token(e: &ProbeError) -> String {
+fn write_dns_fault(out: &mut impl fmt::Write, e: &ProbeError) -> fmt::Result {
     match e {
-        ProbeError::DnsTimeout => "timeout".to_string(),
-        ProbeError::DnsServFail => "servfail".to_string(),
-        ProbeError::DnsLame => "lame".to_string(),
-        ProbeError::ConnectRefused => "refused".to_string(),
-        ProbeError::ConnectTimeout => "connect_timeout".to_string(),
-        ProbeError::ConnectionReset => "reset".to_string(),
-        ProbeError::SmtpTempFail(c) => format!("tempfail:{c}"),
-        ProbeError::SmtpReject(c) => format!("reject:{c}"),
+        ProbeError::DnsTimeout => out.write_str("timeout"),
+        ProbeError::DnsServFail => out.write_str("servfail"),
+        ProbeError::DnsLame => out.write_str("lame"),
+        ProbeError::ConnectRefused => out.write_str("refused"),
+        ProbeError::ConnectTimeout => out.write_str("connect_timeout"),
+        ProbeError::ConnectionReset => out.write_str("reset"),
+        ProbeError::SmtpTempFail(c) => write!(out, "tempfail:{c}"),
+        ProbeError::SmtpReject(c) => write!(out, "reject:{c}"),
     }
 }
 
@@ -241,31 +260,28 @@ fn parse_dns_fault(tok: &str) -> Result<ProbeError, String> {
 
 /// Serialise one probe outcome as six space-free tokens:
 /// `id transaction spf_triggered behaviors unknown_patterns dns_fault`.
-fn outcome_tokens(out: &mut String, o: &ProbeOutcome) {
-    let behaviors = if o.classification.behaviors.is_empty() {
-        "-".to_string()
-    } else {
-        o.classification
-            .behaviors
-            .iter()
-            .map(|&b| behavior_token(b))
-            .collect::<Vec<_>>()
-            .join("+")
-    };
-    let _ = write!(
-        out,
-        "{} {} {} {} {} {}",
-        escape_field(&o.id),
-        o.transaction
-            .as_ref()
-            .map_or_else(|| "none".to_string(), transaction_token),
-        bool01(o.classification.spf_triggered),
-        behaviors,
-        o.classification.unknown_patterns,
-        o.dns_fault
-            .as_ref()
-            .map_or_else(|| "none".to_string(), dns_fault_token),
-    );
+fn write_outcome(out: &mut impl fmt::Write, o: &ProbeOutcome) -> fmt::Result {
+    write_escaped(out, &o.id)?;
+    out.write_char(' ')?;
+    match &o.transaction {
+        Some(t) => write_transaction(out, t)?,
+        None => out.write_str("none")?,
+    }
+    write!(out, " {} ", bool01(o.classification.spf_triggered))?;
+    if o.classification.behaviors.is_empty() {
+        out.write_char('-')?;
+    }
+    for (i, &b) in o.classification.behaviors.iter().enumerate() {
+        if i > 0 {
+            out.write_char('+')?;
+        }
+        out.write_str(behavior_token(b))?;
+    }
+    write!(out, " {} ", o.classification.unknown_patterns)?;
+    match &o.dns_fault {
+        Some(e) => write_dns_fault(out, e),
+        None => out.write_str("none"),
+    }
 }
 
 fn parse_outcome(host: HostId, test: ProbeTest, toks: &[&str]) -> Result<ProbeOutcome, String> {
@@ -317,18 +333,18 @@ fn parse_status(tok: &str) -> Result<RoundStatus, String> {
     })
 }
 
-fn write_plan(out: &mut String, p: &FaultPlan) {
-    let _ = write!(
+fn write_plan(out: &mut impl fmt::Write, p: &FaultPlan) -> fmt::Result {
+    write!(
         out,
         "{} {} {} {} {} {} {}",
-        f64_hex(p.refuse_chance),
-        f64_hex(p.abort_chance),
-        f64_hex(p.drop_chance),
-        f64_hex(p.servfail_chance),
-        f64_hex(p.truncate_chance),
-        f64_hex(p.tempfail_chance),
-        f64_hex(p.reset_chance),
-    );
+        Hex(p.refuse_chance),
+        Hex(p.abort_chance),
+        Hex(p.drop_chance),
+        Hex(p.servfail_chance),
+        Hex(p.truncate_chance),
+        Hex(p.tempfail_chance),
+        Hex(p.reset_chance),
+    )
 }
 
 fn parse_plan(toks: &[&str]) -> Result<FaultPlan, String> {
@@ -367,14 +383,14 @@ fn metrics_fields(m: &MetricsSnapshot) -> [u64; 16] {
     ]
 }
 
-fn write_metrics(out: &mut String, m: &MetricsSnapshot) {
-    let fields = metrics_fields(m);
-    let joined = fields
-        .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(" ");
-    let _ = write!(out, "{joined}");
+fn write_metrics(out: &mut impl fmt::Write, m: &MetricsSnapshot) -> fmt::Result {
+    for (i, v) in metrics_fields(m).into_iter().enumerate() {
+        if i > 0 {
+            out.write_char(' ')?;
+        }
+        write!(out, "{v}")?;
+    }
+    Ok(())
 }
 
 fn parse_metrics(toks: &[&str]) -> Result<MetricsSnapshot, String> {
@@ -405,12 +421,12 @@ fn parse_metrics(toks: &[&str]) -> Result<MetricsSnapshot, String> {
     })
 }
 
-fn write_ethics(out: &mut String, a: &EthicsAudit) {
-    let _ = write!(
+fn write_ethics(out: &mut impl fmt::Write, a: &EthicsAudit) -> fmt::Result {
+    write!(
         out,
         "{} {} {} {} {}",
         a.immediate, a.spaced, a.greylist_waits, a.dedup_suppressed, a.peak_concurrency
-    );
+    )
 }
 
 fn parse_ethics(toks: &[&str]) -> Result<EthicsAudit, String> {
@@ -426,137 +442,312 @@ fn parse_ethics(toks: &[&str]) -> Result<EthicsAudit, String> {
     })
 }
 
-impl CampaignState {
-    /// Render the state into its canonical text form.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{MAGIC}");
-        let _ = writeln!(
-            out,
-            "world {} {}",
-            self.world_seed,
-            f64_hex(self.world_scale)
-        );
-        let b = &self.builder;
-        let _ = writeln!(
-            out,
+/// A borrowed view of a campaign's durable state: the one checkpoint
+/// writer. [`CampaignState::to_text`] renders a state through it, and
+/// [`Session::checkpoint`](crate::Session::checkpoint) renders a live
+/// session's own maps through it, so neither copies the sweep results
+/// or the trace. Every collection must arrive in canonical order.
+pub(crate) struct StateText<'a, I, R, T> {
+    pub builder: &'a CampaignBuilder,
+    pub world_seed: u64,
+    pub world_scale: f64,
+    pub rounds_done: usize,
+    pub initial_busy: SimDuration,
+    pub rounds_busy: SimDuration,
+    pub stats: SessionStats,
+    pub ethics_total: &'a EthicsAudit,
+    pub network_total: &'a MetricsSnapshot,
+    /// Host-sorted.
+    pub merged_counts: &'a [(HostId, u32)],
+    /// The initial sweep's results, host-sorted.
+    pub initial: I,
+    pub masks: Option<&'a [u32]>,
+    /// Completed rounds, each host-sorted.
+    pub rounds: R,
+    pub workers: &'a [WorkerState],
+    pub trace_records: T,
+}
+
+/// The line sink under [`StateText::write_to`]: counts the lines it
+/// ends, for the `end` trailer.
+struct Lines<'o, W> {
+    out: &'o mut W,
+    count: usize,
+}
+
+impl<W: fmt::Write> fmt::Write for Lines<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.out.write_str(s)
+    }
+}
+
+impl<W: fmt::Write> Lines<'_, W> {
+    fn end_line(&mut self) -> fmt::Result {
+        self.count += 1;
+        self.out.write_char('\n')
+    }
+}
+
+impl<'a, I, R, T> StateText<'a, I, R, T>
+where
+    I: Iterator<Item = (HostId, &'a HostInitialResult)>,
+    R: Iterator<Item = (u16, Cow<'a, [(HostId, RoundStatus)]>)>,
+    T: Iterator<Item = &'a ProbeRecord>,
+{
+    /// Write the canonical text form into `out`, trailer included.
+    pub(crate) fn write_to(self, out: &mut impl fmt::Write) -> fmt::Result {
+        let l = &mut Lines { out, count: 0 };
+        l.write_str(MAGIC)?;
+        l.end_line()?;
+        write!(l, "world {} {}", self.world_seed, Hex(self.world_scale))?;
+        l.end_line()?;
+        let b = self.builder;
+        write!(
+            l,
             "config {} {} {} {} {}",
             b.shards,
             bool01(b.timed),
             bool01(b.trace.enabled),
             bool01(b.incremental),
             bool01(b.no_policy_cache),
-        );
-        out.push_str("faults ");
-        write_plan(&mut out, &b.options.faults.dns);
-        out.push(' ');
-        write_plan(&mut out, &b.options.faults.smtp);
-        let _ = write!(out, " {}", f64_hex(b.options.faults.flaky_fraction));
-        match &b.options.faults.window {
-            Some(w) => {
-                let _ = writeln!(
-                    out,
-                    " window {} {} {}",
-                    w.period.as_micros(),
-                    f64_hex(w.open_fraction),
-                    w.phase.as_micros()
-                );
-            }
-            None => out.push_str(" nowindow\n"),
+        )?;
+        l.end_line()?;
+        let faults = &b.options.faults;
+        l.write_str("faults ")?;
+        write_plan(l, &faults.dns)?;
+        l.write_char(' ')?;
+        write_plan(l, &faults.smtp)?;
+        write!(l, " {}", Hex(faults.flaky_fraction))?;
+        match &faults.window {
+            Some(w) => write!(
+                l,
+                " window {} {} {}",
+                w.period.as_micros(),
+                Hex(w.open_fraction),
+                w.phase.as_micros()
+            )?,
+            None => l.write_str(" nowindow")?,
         }
+        l.end_line()?;
         let r = &b.options.retry;
-        let _ = writeln!(
-            out,
-            "retry {} {} {} {} {}",
+        write!(
+            l,
+            "retry {} {} {} {}",
             r.max_attempts,
             r.base_backoff.as_micros(),
             r.max_backoff.as_micros(),
-            f64_hex(r.jitter),
-            r.deadline
-                .map_or_else(|| "none".to_string(), |d| d.as_micros().to_string()),
-        );
-        let _ = writeln!(out, "progress {}", self.rounds_done);
-        let _ = writeln!(
-            out,
+            Hex(r.jitter),
+        )?;
+        match r.deadline {
+            Some(d) => write!(l, " {}", d.as_micros())?,
+            None => l.write_str(" none")?,
+        }
+        l.end_line()?;
+        write!(l, "progress {}", self.rounds_done)?;
+        l.end_line()?;
+        write!(
+            l,
             "busy {} {}",
             self.initial_busy.as_micros(),
             self.rounds_busy.as_micros()
-        );
-        let _ = writeln!(
-            out,
+        )?;
+        l.end_line()?;
+        write!(
+            l,
             "stats {} {}",
             self.stats.round_probes_issued, self.stats.round_probes_skipped
-        );
-        out.push_str("ethics-total ");
-        write_ethics(&mut out, &self.ethics_total);
-        out.push('\n');
-        out.push_str("network-total ");
-        write_metrics(&mut out, &self.network_total);
-        out.push('\n');
-        for (host, n) in &self.merged_counts {
-            let _ = writeln!(out, "mcount {} {}", host.0, n);
+        )?;
+        l.end_line()?;
+        l.write_str("ethics-total ")?;
+        write_ethics(l, self.ethics_total)?;
+        l.end_line()?;
+        l.write_str("network-total ")?;
+        write_metrics(l, self.network_total)?;
+        l.end_line()?;
+        for (host, n) in self.merged_counts {
+            write!(l, "mcount {} {n}", host.0)?;
+            l.end_line()?;
         }
-        for (host, result) in &self.initial {
-            let _ = write!(out, "init {} ", host.0);
-            outcome_tokens(&mut out, &result.nomsg);
+        for (host, result) in self.initial {
+            write!(l, "init {} ", host.0)?;
+            write_outcome(l, &result.nomsg)?;
             if let Some(blank) = &result.blankmsg {
-                out.push(' ');
-                outcome_tokens(&mut out, blank);
+                l.write_char(' ')?;
+                write_outcome(l, blank)?;
             }
-            out.push('\n');
+            l.end_line()?;
         }
-        if let Some(masks) = &self.masks {
+        if let Some(masks) = self.masks {
             // The versioned aggregate section: a declared host count,
             // then rows of up to 64 masks packed as fixed-width hex.
-            let _ = writeln!(out, "aggregate v1 {}", masks.len());
+            write!(l, "aggregate v1 {}", masks.len())?;
+            l.end_line()?;
             for (row, chunk) in masks.chunks(64).enumerate() {
-                let _ = write!(out, "amask {}", row * 64);
+                write!(l, "amask {}", row * 64)?;
                 for m in chunk {
-                    let _ = write!(out, " {m:08x}");
+                    write!(l, " {m:08x}")?;
                 }
-                out.push('\n');
+                l.end_line()?;
             }
         }
-        for (day, statuses) in &self.rounds {
-            let _ = writeln!(out, "round {day}");
-            for (host, status) in statuses {
-                let _ = writeln!(out, "st {} {}", host.0, status_token(*status));
+        for (day, statuses) in self.rounds {
+            write!(l, "round {day}")?;
+            l.end_line()?;
+            for (host, status) in statuses.iter() {
+                write!(l, "st {} {}", host.0, status_token(*status))?;
+                l.end_line()?;
             }
         }
-        for w in &self.workers {
-            let _ = writeln!(out, "worker");
-            let _ = writeln!(out, "wclock {}", w.clock_micros);
-            out.push_str("wethics ");
-            write_ethics(&mut out, &w.ethics);
-            out.push('\n');
+        for w in self.workers {
+            l.write_str("worker")?;
+            l.end_line()?;
+            write!(l, "wclock {}", w.clock_micros)?;
+            l.end_line()?;
+            l.write_str("wethics ")?;
+            write_ethics(l, &w.ethics)?;
+            l.end_line()?;
             for (ip, at) in &w.contacts {
-                let _ = writeln!(out, "wcontact {} {}", ip, at.as_micros());
+                write!(l, "wcontact {ip} {}", at.as_micros())?;
+                l.end_line()?;
             }
-            out.push_str("wmetrics ");
-            write_metrics(&mut out, &w.metrics);
-            out.push('\n');
+            l.write_str("wmetrics ")?;
+            write_metrics(l, &w.metrics)?;
+            l.end_line()?;
             for ((h, d, t, x), n) in &w.occurrences {
-                let _ = writeln!(out, "wocc {h} {d} {t} {x} {n}");
+                write!(l, "wocc {h} {d} {t} {x} {n}")?;
+                l.end_line()?;
             }
             for (host, n) in &w.counts {
-                let _ = writeln!(out, "wcount {} {}", host.0, n);
+                write!(l, "wcount {} {n}", host.0)?;
+                l.end_line()?;
             }
         }
-        for record in &self.trace_records {
-            let _ = writeln!(out, "trace {}", record.to_wire());
+        for record in self.trace_records {
+            l.write_str("trace ")?;
+            record.write_wire(l)?;
+            l.end_line()?;
         }
+        // The trailer counts every line before it, so a file cut at any
+        // line boundary is told apart from a complete one.
+        let count = l.count;
+        write!(l, "end {count}")?;
+        l.end_line()
+    }
+
+    /// Write the text form to `path` atomically against a kill: into a
+    /// sibling `<path>.tmp` first, then renamed over `path`, so `path`
+    /// always holds either the previous checkpoint or this one.
+    pub(crate) fn write_file(self, path: &Path) -> io::Result<()> {
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let written = File::create(&tmp).and_then(|file| {
+            let mut sink = IoSink {
+                inner: BufWriter::with_capacity(1 << 16, file),
+                error: None,
+            };
+            if self.write_to(&mut sink).is_err() {
+                return Err(sink
+                    .error
+                    .unwrap_or_else(|| io::Error::other("checkpoint formatting failed")));
+            }
+            // Flush explicitly: dropping a BufWriter swallows its error.
+            sink.inner
+                .into_inner()
+                .map_err(io::IntoInnerError::into_error)?;
+            Ok(())
+        });
+        match written {
+            Ok(()) => std::fs::rename(&tmp, path),
+            Err(e) => {
+                let _ = std::fs::remove_file(&tmp);
+                Err(e)
+            }
+        }
+    }
+}
+
+/// `fmt::Write` over an `io::Write`, keeping the I/O error that a
+/// `fmt::Error` cannot carry.
+struct IoSink<W> {
+    inner: W,
+    error: Option<io::Error>,
+}
+
+impl<W: io::Write> fmt::Write for IoSink<W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.inner.write_all(s.as_bytes()).map_err(|e| {
+            self.error = Some(e);
+            fmt::Error
+        })
+    }
+}
+
+/// The most operands any line but `amask` and `trace` (which are split
+/// on their own) carries: `faults` with a window.
+const MAX_TOKENS: usize = 19;
+
+/// Split `rest` on spaces into `buf`, returning the filled prefix — the
+/// parser's per-line token slice, kept on the stack.
+fn split_tokens<'t, 'b>(
+    rest: &'t str,
+    buf: &'b mut [&'t str; MAX_TOKENS],
+) -> Result<&'b [&'t str], String> {
+    let mut n = 0;
+    for tok in rest.split(' ').filter(|t| !t.is_empty()) {
+        let slot = buf
+            .get_mut(n)
+            .ok_or_else(|| format!("more than {MAX_TOKENS} operands"))?;
+        *slot = tok;
+        n += 1;
+    }
+    Ok(&buf[..n])
+}
+
+impl CampaignState {
+    /// Render the state into its canonical text form.
+    pub fn to_text(&self) -> String {
+        let text = StateText {
+            builder: &self.builder,
+            world_seed: self.world_seed,
+            world_scale: self.world_scale,
+            rounds_done: self.rounds_done,
+            initial_busy: self.initial_busy,
+            rounds_busy: self.rounds_busy,
+            stats: self.stats,
+            ethics_total: &self.ethics_total,
+            network_total: &self.network_total,
+            merged_counts: &self.merged_counts,
+            initial: self.initial.iter().map(|(h, r)| (*h, r)),
+            masks: self.masks.as_deref(),
+            rounds: self
+                .rounds
+                .iter()
+                .map(|(day, statuses)| (*day, Cow::Borrowed(statuses.as_slice()))),
+            workers: &self.workers,
+            trace_records: self.trace_records.iter(),
+        };
+        let mut out = String::new();
+        // Writing into a String cannot fail.
+        let _ = text.write_to(&mut out);
         out
     }
 
-    /// Parse the text form written by [`CampaignState::to_text`].
+    /// Parse the text form written by [`CampaignState::to_text`]. A
+    /// current (`v2`) file must end in its `end <line-count>` trailer,
+    /// so a file cut short is rejected; a `v1` file has no trailer and
+    /// is read as it stands.
     pub fn parse(text: &str) -> Result<CampaignState, String> {
         let mut lines = text.lines().enumerate();
         let Some((_, first)) = lines.next() else {
             return Err("empty checkpoint".to_string());
         };
-        if first != MAGIC {
-            return Err(format!("not a checkpoint: first line {first:?}"));
-        }
+        let trailed = match first {
+            MAGIC => true,
+            MAGIC_V1 => false,
+            _ => return Err(format!("not a checkpoint: first line {first:?}")),
+        };
+        let mut ended = false;
         let mut world: Option<(u64, f64)> = None;
         let mut config: Option<(usize, bool, bool, bool, bool)> = None;
         let mut faults: Option<FaultProfile> = None;
@@ -572,20 +763,63 @@ impl CampaignState {
         let mut rounds: Vec<(u16, Vec<(HostId, RoundStatus)>)> = Vec::new();
         let mut workers: Vec<WorkerState> = Vec::new();
         let mut trace_records = Vec::new();
+        let mut buf = [""; MAX_TOKENS];
         for (idx, line) in lines {
             let err = |msg: String| format!("line {}: {msg}", idx + 1);
             if line.is_empty() {
                 continue;
             }
-            let (keyword, rest) = line.split_once(' ').unwrap_or((line, ""));
-            // `trace` operands carry their own escaping; everything else
-            // splits on single spaces.
-            if keyword == "trace" {
-                trace_records.push(ProbeRecord::from_wire(rest).map_err(err)?);
-                continue;
+            if ended {
+                return Err(err("text after the end trailer".to_string()));
             }
-            let toks: Vec<&str> = rest.split(' ').filter(|t| !t.is_empty()).collect();
+            let (keyword, rest) = line.split_once(' ').unwrap_or((line, ""));
+            // `trace` operands carry their own escaping, and `amask`
+            // rows run to 65 operands; everything else splits into the
+            // stack token slice.
             match keyword {
+                "trace" => {
+                    trace_records.push(ProbeRecord::from_wire(rest).map_err(err)?);
+                    continue;
+                }
+                "amask" => {
+                    let Some((_, column)) = masks.as_mut() else {
+                        return Err(err("amask before aggregate header".to_string()));
+                    };
+                    let mut row = rest.split(' ').filter(|t| !t.is_empty());
+                    let first = row
+                        .next()
+                        .ok_or_else(|| err("amask wants a first-host index".to_string()))?;
+                    let first: usize = parse_num(first, "first host").map_err(err)?;
+                    if first != column.len() {
+                        return Err(err(format!(
+                            "amask row starts at host {first}, expected {}",
+                            column.len()
+                        )));
+                    }
+                    for tok in row {
+                        column.push(
+                            u32::from_str_radix(tok, 16)
+                                .map_err(|_| err(format!("bad mask {tok:?}")))?,
+                        );
+                    }
+                    continue;
+                }
+                _ => {}
+            }
+            let toks = split_tokens(rest, &mut buf).map_err(err)?;
+            match keyword {
+                "end" if trailed => {
+                    let [count] = toks[..] else {
+                        return Err(err("end wants 1 operand".to_string()));
+                    };
+                    let count: usize = parse_num(count, "line count").map_err(err)?;
+                    if count != idx {
+                        return Err(err(format!(
+                            "trailer counts {count} lines, the file holds {idx}"
+                        )));
+                    }
+                    ended = true;
+                }
                 "world" => {
                     let [seed, scale] = toks[..] else {
                         return Err(err("world wants seed and scale".to_string()));
@@ -684,8 +918,8 @@ impl CampaignState {
                         round_probes_skipped: parse_num(skipped, "skipped").map_err(err)?,
                     };
                 }
-                "ethics-total" => ethics_total = parse_ethics(&toks).map_err(err)?,
-                "network-total" => network_total = parse_metrics(&toks).map_err(err)?,
+                "ethics-total" => ethics_total = parse_ethics(toks).map_err(err)?,
+                "network-total" => network_total = parse_metrics(toks).map_err(err)?,
                 "mcount" => {
                     let [host, n] = toks[..] else {
                         return Err(err("mcount wants 2 operands".to_string()));
@@ -727,27 +961,6 @@ impl CampaignState {
                     }
                     masks = Some((parse_num(count, "host count").map_err(err)?, Vec::new()));
                 }
-                "amask" => {
-                    let Some((_, column)) = masks.as_mut() else {
-                        return Err(err("amask before aggregate header".to_string()));
-                    };
-                    let [first, row @ ..] = &toks[..] else {
-                        return Err(err("amask wants a first-host index".to_string()));
-                    };
-                    let first: usize = parse_num(first, "first host").map_err(err)?;
-                    if first != column.len() {
-                        return Err(err(format!(
-                            "amask row starts at host {first}, expected {}",
-                            column.len()
-                        )));
-                    }
-                    for tok in row {
-                        column.push(
-                            u32::from_str_radix(tok, 16)
-                                .map_err(|_| err(format!("bad mask {tok:?}")))?,
-                        );
-                    }
-                }
                 "round" => {
                     let [day] = toks[..] else {
                         return Err(err("round wants 1 operand".to_string()));
@@ -785,7 +998,7 @@ impl CampaignState {
                             };
                             w.clock_micros = parse_num(us, "clock").map_err(err)?;
                         }
-                        "wethics" => w.ethics = parse_ethics(&toks).map_err(err)?,
+                        "wethics" => w.ethics = parse_ethics(toks).map_err(err)?,
                         "wcontact" => {
                             let [ip, us] = toks[..] else {
                                 return Err(err("wcontact wants 2 operands".to_string()));
@@ -796,7 +1009,7 @@ impl CampaignState {
                                 SimTime::from_micros(parse_num(us, "contact").map_err(err)?),
                             ));
                         }
-                        "wmetrics" => w.metrics = parse_metrics(&toks).map_err(err)?,
+                        "wmetrics" => w.metrics = parse_metrics(toks).map_err(err)?,
                         "wocc" => {
                             let [h, d, t, x, n] = toks[..] else {
                                 return Err(err("wocc wants 5 operands".to_string()));
@@ -825,6 +1038,9 @@ impl CampaignState {
                 }
                 _ => return Err(err(format!("unknown keyword {keyword:?}"))),
             }
+        }
+        if trailed && !ended {
+            return Err("truncated checkpoint: no end trailer".to_string());
         }
         let (world_seed, world_scale) = world.ok_or("missing world line")?;
         let (shards, timed, trace_enabled, incremental, no_policy_cache) =
@@ -1065,6 +1281,37 @@ mod tests {
             .collect::<Vec<_>>()
             .join("\n");
         assert!(CampaignState::parse(&headerless).is_err());
+    }
+
+    /// Files written before the trailer existed carry the `v1` magic
+    /// and no `end` line; they parse to the same state.
+    #[test]
+    fn v1_text_without_trailer_still_parses() {
+        let state = sample_state();
+        let v1: String = state
+            .to_text()
+            .replacen(MAGIC, MAGIC_V1, 1)
+            .lines()
+            .filter(|l| !l.starts_with("end "))
+            .flat_map(|l| [l, "\n"])
+            .collect();
+        assert_eq!(CampaignState::parse(&v1).expect("v1 parses"), state);
+    }
+
+    #[test]
+    fn trailer_must_count_the_lines_and_close_the_file() {
+        let text = sample_state().to_text();
+        let (body, trailer) = text.trim_end().rsplit_once('\n').expect("several lines");
+        let count: usize = trailer
+            .strip_prefix("end ")
+            .and_then(|n| n.parse().ok())
+            .expect("an end trailer");
+        assert_eq!(count, body.lines().count());
+        assert!(CampaignState::parse(&format!("{body}\nend {}\n", count + 1)).is_err());
+        assert!(CampaignState::parse(&format!("{body}\n")).is_err());
+        assert!(CampaignState::parse(&format!("{text}progress 2\n")).is_err());
+        // A v1 file has no trailer to carry.
+        assert!(CampaignState::parse(&text.replacen(MAGIC, MAGIC_V1, 1)).is_err());
     }
 
     #[test]

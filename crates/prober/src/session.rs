@@ -54,8 +54,10 @@
 //! (≥5× at paper scale) is the point. [`Session::full_rescan`] forces
 //! the next round to probe everything.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io;
+use std::net::{IpAddr, Ipv4Addr};
 use std::path::Path;
 
 use spfail_dns::QueryLog;
@@ -66,9 +68,9 @@ use spfail_world::{DomainId, HostId, Population, Timeline};
 use crate::aggregate::{CampaignSummary, HostMask};
 use crate::campaign::{
     partition_hosts, Campaign, CampaignBuilder, CampaignData, CampaignRun, CampaignTiming,
-    InitialMeasurement, RoundStatus,
+    HostInitialResult, InitialMeasurement, RoundStatus,
 };
-use crate::checkpoint::{CampaignState, WorkerState};
+use crate::checkpoint::{CampaignState, StateText, WorkerState};
 use crate::ethics::{EthicsAudit, MAX_CONCURRENT};
 use crate::probe::{ProbeContext, ProbeTest, Prober};
 
@@ -93,6 +95,48 @@ struct Worker<'w> {
     tracer: Tracer,
     counts: HashMap<HostId, u32>,
     hosts: Vec<HostId>,
+}
+
+impl Worker<'_> {
+    fn state(&self) -> WorkerState {
+        worker_state(&self.prober, &self.counts)
+    }
+}
+
+/// A probing worker's durable state — its prober's plus its blacklist
+/// counters — every collection in canonical order.
+pub(crate) fn worker_state(prober: &Prober<'_>, counts: &HashMap<HostId, u32>) -> WorkerState {
+    let (ethics, contacts) = prober.ethics().export();
+    let mut counts: Vec<_> = counts.iter().map(|(&h, &n)| (h, n)).collect();
+    counts.sort_unstable_by_key(|(h, _)| *h);
+    WorkerState {
+        clock_micros: prober.context().clock.now().as_micros(),
+        ethics,
+        contacts,
+        metrics: prober.metrics().snapshot(),
+        occurrences: prober.occurrences_export(),
+        counts,
+    }
+}
+
+/// Prune a sweep worker's per-host state — probe-repetition counters,
+/// contact history, blacklist counters — down to the `keep` hosts and
+/// their addresses (host-sorted). Sound mid-sweep and after it, in
+/// either engine: the sweep never revisits a host, host addresses are
+/// unique, and only tracked hosts are probed again (the snapshot through
+/// a fresh prober), so the dropped entries can never be read again.
+/// Audit counters and metrics are untouched.
+pub(crate) fn prune(
+    prober: &mut Prober<'_>,
+    counts: &mut HashMap<HostId, u32>,
+    keep: &[(HostId, Ipv4Addr)],
+) {
+    let hosts: Vec<HostId> = keep.iter().map(|&(h, _)| h).collect();
+    prober.occurrences_retain(&hosts);
+    counts.retain(|h, _| hosts.binary_search(h).is_ok());
+    let mut ips: Vec<IpAddr> = keep.iter().map(|&(_, ip)| IpAddr::V4(ip)).collect();
+    ips.sort();
+    prober.ethics_mut().contacts_retain(&ips);
 }
 
 /// A staged, checkpointable campaign run. See the module docs.
@@ -236,6 +280,12 @@ impl<'w> Session<'w> {
             self.initial_busy = busy;
             self.note_tracking(&initial);
             self.initial = Some(initial);
+            let keep: Vec<(HostId, Ipv4Addr)> = self
+                .tracked
+                .iter()
+                .map(|&h| (h, world.host(h).ip))
+                .collect();
+            prune(&mut prober, &mut counts, &keep);
             // The sequential engine keeps this one prober (and clock)
             // across the initial sweep and every round.
             self.workers.push(Worker {
@@ -316,6 +366,11 @@ impl<'w> Session<'w> {
         }
         self.note_tracking(&initial);
         self.initial = Some(initial);
+        // The round workers read these for tracked hosts only; `prune`'s
+        // rule, applied to the retired sweep workers' merged counters.
+        let tracked = &self.tracked;
+        self.merged_counts
+            .retain(|h, _| tracked.binary_search(h).is_ok());
     }
 
     /// Derive tracking from the merged initial sweep and seed the
@@ -664,58 +719,12 @@ impl<'w> Session<'w> {
     /// If the initial sweep has not run (there is nothing to save that
     /// re-running `initial_sweep` would not recompute).
     pub fn to_state(&mut self) -> CampaignState {
-        let initial = self
-            .initial
-            .as_ref()
-            .expect("Session::checkpoint: run initial_sweep first");
-        let mut initial_sorted: Vec<_> = initial
-            .results
-            .iter()
-            .map(|(&h, r)| (h, r.clone()))
+        self.drain_tracers();
+        let initial = self.initial_results();
+        let initial = sorted_keys(initial)
+            .into_iter()
+            .map(|h| (h, initial[&h].clone()))
             .collect();
-        initial_sorted.sort_by_key(|(h, _)| *h);
-        let rounds = self
-            .rounds
-            .iter()
-            .map(|(day, statuses)| {
-                let mut hosts: Vec<_> = statuses.iter().map(|(&h, &s)| (h, s)).collect();
-                hosts.sort_by_key(|(h, _)| *h);
-                (*day, hosts)
-            })
-            .collect();
-        let workers = self
-            .workers
-            .iter()
-            .map(|w| {
-                let (ethics, contacts) = w.prober.ethics().export();
-                let mut counts: Vec<_> = w.counts.iter().map(|(&h, &n)| (h, n)).collect();
-                counts.sort_by_key(|(h, _)| *h);
-                WorkerState {
-                    clock_micros: w.prober.context().clock.now().as_micros(),
-                    ethics,
-                    contacts,
-                    metrics: w.prober.metrics().snapshot(),
-                    occurrences: w.prober.occurrences_export(),
-                    counts,
-                }
-            })
-            .collect();
-        // Drain the live tracers so the state holds every record
-        // emitted so far; the handles stay usable for the next stage.
-        for w in &self.workers {
-            self.trace_parts.push(w.tracer.finish());
-        }
-        let trace_records = self
-            .trace_parts
-            .iter()
-            .flat_map(|t| t.records.iter().cloned())
-            .collect();
-        let mut merged_counts: Vec<_> = self
-            .merged_counts
-            .iter()
-            .map(|(&h, &n)| (h, n))
-            .collect();
-        merged_counts.sort_by_key(|(h, _)| *h);
         let config = &self.pop.runtime().config;
         CampaignState {
             builder: self.builder,
@@ -726,14 +735,57 @@ impl<'w> Session<'w> {
             initial_busy: self.initial_busy,
             rounds_busy: self.rounds_busy,
             stats: self.stats,
-            initial: initial_sorted,
-            rounds,
+            initial,
+            rounds: self.sorted_rounds().collect(),
             ethics_total: self.ethics_total.clone(),
             network_total: self.network_total,
-            merged_counts,
-            workers,
-            trace_records,
+            merged_counts: self.sorted_merged_counts(),
+            workers: self.workers.iter().map(Worker::state).collect(),
+            trace_records: self
+                .trace_parts
+                .iter()
+                .flat_map(|t| t.records.iter().cloned())
+                .collect(),
         }
+    }
+
+    /// The initial sweep's per-host results.
+    ///
+    /// # Panics
+    ///
+    /// If the initial sweep has not run.
+    fn initial_results(&self) -> &HashMap<HostId, HostInitialResult> {
+        &self
+            .initial
+            .as_ref()
+            .expect("Session::checkpoint: run initial_sweep first")
+            .results
+    }
+
+    /// Drain the live tracers so `trace_parts` holds every record
+    /// emitted so far; the handles stay usable for the next stage.
+    fn drain_tracers(&mut self) {
+        for w in &self.workers {
+            let part = w.tracer.finish();
+            if !part.is_empty() {
+                self.trace_parts.push(part);
+            }
+        }
+    }
+
+    /// Each completed round's statuses, host-sorted.
+    fn sorted_rounds(&self) -> impl Iterator<Item = (u16, Vec<(HostId, RoundStatus)>)> + '_ {
+        self.rounds.iter().map(|(day, statuses)| {
+            let mut hosts: Vec<_> = statuses.iter().map(|(&h, &s)| (h, s)).collect();
+            hosts.sort_unstable_by_key(|(h, _)| *h);
+            (*day, hosts)
+        })
+    }
+
+    fn sorted_merged_counts(&self) -> Vec<(HostId, u32)> {
+        let mut counts: Vec<_> = self.merged_counts.iter().map(|(&h, &n)| (h, n)).collect();
+        counts.sort_unstable_by_key(|(h, _)| *h);
+        counts
     }
 
     /// Rebuild a session from a [`CampaignState`] against `world`,
@@ -891,10 +943,39 @@ impl<'w> Session<'w> {
         Ok(session)
     }
 
-    /// Write the session's durable state to `path`. See
+    /// Write the session's durable state to `path`: the text of
+    /// [`CampaignState::to_text`], rendered straight from the session's
+    /// own maps (nothing is cloned into a state first) and written
+    /// through a sibling temp file renamed over `path`, so a kill
+    /// mid-write leaves the previous checkpoint in place. See
     /// [`Session::to_state`] for what is saved and when this is legal.
     pub fn checkpoint(&mut self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.to_state().to_text())
+        self.drain_tracers();
+        let initial = self.initial_results();
+        let hosts = sorted_keys(initial);
+        let merged_counts = self.sorted_merged_counts();
+        let workers: Vec<WorkerState> = self.workers.iter().map(Worker::state).collect();
+        let config = &self.pop.runtime().config;
+        StateText {
+            builder: &self.builder,
+            world_seed: config.seed,
+            world_scale: config.scale,
+            rounds_done: self.rounds_done,
+            initial_busy: self.initial_busy,
+            rounds_busy: self.rounds_busy,
+            stats: self.stats,
+            ethics_total: &self.ethics_total,
+            network_total: &self.network_total,
+            merged_counts: &merged_counts,
+            initial: hosts.iter().map(|h| (*h, &initial[h])),
+            masks: self.streamed.as_deref(),
+            rounds: self
+                .sorted_rounds()
+                .map(|(day, hosts)| (day, Cow::Owned(hosts))),
+            workers: &workers,
+            trace_records: self.trace_parts.iter().flat_map(|t| &t.records),
+        }
+        .write_file(path.as_ref())
     }
 
     /// Continue a checkpointed session from `path` against `world` —
@@ -926,6 +1007,13 @@ impl<'w> Session<'w> {
     pub(crate) fn seed_cache_total(&mut self, stats: PolicyCacheStats) {
         self.cache_total = self.cache_total.merge(&stats);
     }
+}
+
+/// A hash map's keys in sorted order.
+fn sorted_keys<V>(map: &HashMap<HostId, V>) -> Vec<HostId> {
+    let mut keys: Vec<HostId> = map.keys().copied().collect();
+    keys.sort_unstable();
+    keys
 }
 
 /// One incremental longitudinal round: identical to

@@ -12,8 +12,8 @@
 //!    pairs. Host records live exactly as long as their synthesis step;
 //!    prober-side per-host state (repetition counters, contact history,
 //!    blacklist counters) is pruned to the vulnerable set as the sweep
-//!    goes, which is sound because host addresses are unique and every
-//!    later phase re-probes only tracked hosts.
+//!    goes, by the rule the eager sweep applies once at its end
+//!    ([`crate::session`]'s `prune`).
 //! 2. **Retention replay** — re-drive the synthesis stream (identical by
 //!    construction) keeping just the tracked host records and the
 //!    domains that reference them: a [`SparsePopulation`] of O(tracked)
@@ -32,7 +32,7 @@
 //! (`crates/bench/tests/alloc_count.rs` pins the budget).
 
 use std::collections::HashMap;
-use std::net::{IpAddr, Ipv4Addr};
+use std::net::Ipv4Addr;
 use std::sync::mpsc::{sync_channel, Receiver};
 
 use spfail_netsim::{PolicyCacheStats, SimDuration};
@@ -49,7 +49,7 @@ use crate::campaign::{
 use crate::checkpoint::CampaignState;
 use crate::ethics::MAX_CONCURRENT;
 use crate::probe::{ProbeContext, ProbeTest, Prober};
-use crate::session::{Session, SessionStats};
+use crate::session::{prune, worker_state, Session, SessionStats};
 
 /// How many hosts a sweep worker probes between prunes of its per-host
 /// state. Between prunes the maps hold at most this many dead entries,
@@ -254,19 +254,6 @@ fn sweep_host(prober: &mut Prober<'_>, host: HostId, record: &HostRecord) -> (Ho
     (HostMask::from_initial(&result), seen)
 }
 
-/// Prune a sweep worker's per-host state down to the vulnerable hosts
-/// seen so far. Sound mid-sweep: the sweep never revisits a host, host
-/// addresses are unique, and every later phase re-probes only tracked
-/// hosts — so the dropped entries can never be read again. Audit
-/// counters and metrics are untouched.
-fn prune(prober: &mut Prober<'_>, vulnerable: &[(HostId, Ipv4Addr)]) {
-    let hosts: Vec<HostId> = vulnerable.iter().map(|&(h, _)| h).collect();
-    prober.occurrences_retain(&hosts);
-    let mut ips: Vec<IpAddr> = vulnerable.iter().map(|&(_, ip)| IpAddr::V4(ip)).collect();
-    ips.sort();
-    prober.ethics_mut().contacts_retain(&ips);
-}
-
 /// The sequential streamed sweep: one prober over the shared runtime
 /// surfaces, hosts probed in id order as the stream synthesizes them —
 /// the same probe sequence, clock, and query log as
@@ -314,25 +301,14 @@ fn sweep_sequential(
                 query_log.clear();
             }
             if masks.len() % PRUNE_INTERVAL == 0 {
-                prune(&mut prober, &vulnerable);
+                prune(&mut prober, &mut counts, &vulnerable);
             }
         }
     }
-    prune(&mut prober, &vulnerable);
+    prune(&mut prober, &mut counts, &vulnerable);
     let busy = prober.context().clock.now().since(start);
 
-    // Export the one live worker exactly as `Session::to_state` would.
-    let (ethics, contacts) = prober.ethics().export();
-    let mut counts_sorted: Vec<(HostId, u32)> = counts.iter().map(|(&h, &n)| (h, n)).collect();
-    counts_sorted.sort_by_key(|(h, _)| *h);
-    let worker = crate::checkpoint::WorkerState {
-        clock_micros: prober.context().clock.now().as_micros(),
-        ethics,
-        contacts,
-        metrics: prober.metrics().snapshot(),
-        occurrences: prober.occurrences_export(),
-        counts: counts_sorted,
-    };
+    let worker = worker_state(&prober, &counts);
     let cache = prober.context().policy_cache.clone();
     drop(prober);
     SweepOutput {
@@ -415,7 +391,7 @@ fn sweep_sharded(
                 query_log.clear();
             }
             if masks.len() % PRUNE_INTERVAL == 0 {
-                prune(&mut prober, &vulnerable);
+                prune(&mut prober, &mut counts, &vulnerable);
             }
         }
         let busy = prober.context().clock.now().since(start);

@@ -35,7 +35,7 @@
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -78,11 +78,7 @@ pub enum Phase {
 impl Phase {
     /// A stable text label: `initial`, `round-d15`, `snapshot`.
     pub fn label(&self) -> String {
-        match self {
-            Phase::Initial => "initial".to_string(),
-            Phase::Round(day) => format!("round-d{day}"),
-            Phase::Snapshot => "snapshot".to_string(),
-        }
+        self.to_string()
     }
 
     /// The inverse of [`Phase::label`].
@@ -94,6 +90,16 @@ impl Phase {
                 .strip_prefix("round-d")
                 .and_then(|day| day.parse().ok())
                 .map(Phase::Round),
+        }
+    }
+}
+
+impl fmt::Display for Phase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Phase::Initial => f.write_str("initial"),
+            Phase::Round(day) => write!(f, "round-d{day}"),
+            Phase::Snapshot => f.write_str("snapshot"),
         }
     }
 }
@@ -304,36 +310,34 @@ impl ProbeRecord {
     /// `-span@at=outcome` (exit); labels and outcomes are percent-escaped
     /// so the line stays whitespace-delimited.
     pub fn to_wire(&self) -> String {
-        let mut out = format!(
+        let mut out = String::new();
+        let _ = self.write_wire(&mut out);
+        out
+    }
+
+    /// [`ProbeRecord::to_wire`] straight into `out`, with no temporaries.
+    pub fn write_wire(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        write!(
+            out,
             "{} {} {} {} {} {} {}",
-            self.phase.label(),
-            self.host,
-            self.day,
-            self.test,
-            self.extra,
-            self.seq,
-            self.duration_us,
-        );
+            self.phase, self.host, self.day, self.test, self.extra, self.seq, self.duration_us,
+        )?;
         for event in &self.events {
             match &event.kind {
                 TraceEventKind::Enter { span, label } => {
-                    let _ = write!(out, " +{}@{}", span.name(), event.at_us);
+                    write!(out, " +{}@{}", span.name(), event.at_us)?;
                     if let Some(label) = label {
-                        let _ = write!(out, "={}", escape_field(label));
+                        out.write_char('=')?;
+                        write_escaped(out, label)?;
                     }
                 }
                 TraceEventKind::Exit { span, outcome } => {
-                    let _ = write!(
-                        out,
-                        " -{}@{}={}",
-                        span.name(),
-                        event.at_us,
-                        escape_field(outcome)
-                    );
+                    write!(out, " -{}@{}=", span.name(), event.at_us)?;
+                    write_escaped(out, outcome)?;
                 }
             }
         }
-        out
+        Ok(())
     }
 
     /// Parse one [`ProbeRecord::to_wire`] line. Exit outcomes are
@@ -409,15 +413,26 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
 /// and every non-ASCII byte become `%XX`.
 pub fn escape_field(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for &b in s.as_bytes() {
-        match b {
-            b'%' | b' ' | b'=' | 0..=0x1f | 0x7f.. => {
-                let _ = write!(out, "%{b:02x}");
+    let _ = write_escaped(&mut out, s);
+    out
+}
+
+/// [`escape_field`] straight into `out`: unescaped runs are written as
+/// slices of `s`, so nothing is allocated.
+pub fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if matches!(b, b'%' | b' ' | b'=' | 0..=0x1f | 0x7f..) {
+            // Only ASCII passes unescaped, so a non-empty run is on char
+            // boundaries (an empty one may not be, and must not slice).
+            if run < i {
+                out.write_str(&s[run..i])?;
             }
-            _ => out.push(b as char),
+            write!(out, "%{b:02x}")?;
+            run = i + 1;
         }
     }
-    out
+    out.write_str(&s[run..])
 }
 
 /// Undo [`escape_field`]. Malformed escapes pass through literally.
@@ -1008,6 +1023,8 @@ mod tests {
         };
         let back = ProbeRecord::from_wire(&record.to_wire()).expect("parses");
         assert_eq!(back, record);
+        assert_eq!(escape_field("a b=%\u{fc}!"), "a%20b%3d%25%c3%bc!");
+        assert_eq!(unescape_field("a%20b%3d%25%c3%bc!"), "a b=%\u{fc}!");
         // Malformed lines are rejected, not misparsed.
         assert!(ProbeRecord::from_wire("initial 1 0 0 0").is_err());
         assert!(ProbeRecord::from_wire("nonsense 1 0 0 0 0 0").is_err());

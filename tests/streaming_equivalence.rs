@@ -13,7 +13,10 @@
 //!    and vice versa. Resume *output* equality is the contract — the
 //!    checkpoint files themselves legitimately differ across modes (an
 //!    eager checkpoint carries per-host `init` lines, a streamed one
-//!    the `aggregate v1` mask column and pruned worker state).
+//!    the `aggregate v1` mask column).
+//! 4. **One prune rule.** Both engines cut the sweep workers' per-host
+//!    state down to tracked hosts, so after the initial sweep their
+//!    worker state and merged blacklist counters are equal.
 
 use spfail::netsim::{FaultPlan, FaultProfile, FlakyWindow, SimDuration};
 use spfail::prober::{
@@ -281,4 +284,57 @@ fn mode_toggles_across_boundaries_stay_identical() {
 
     assert_eq!(CampaignSummary::from_data(&reference.data), resumed.summary);
     assert_eq!(reference.data.snapshot, resumed.data.snapshot);
+}
+
+/// The eager sweep prunes its per-host worker state by the streamed
+/// sweep's rule: after the initial sweep, the eager session's worker
+/// state (sequential) and merged blacklist counters (sharded) equal the
+/// streamed handoff's, and every per-host key left belongs to a tracked
+/// host.
+#[test]
+fn eager_sweep_prunes_worker_state_like_the_streamed_sweep() {
+    for shards in [1usize, 4] {
+        let label = format!("{shards} shard(s)");
+        let world = World::generate(config(2024));
+        let mut eager = builder(shards, false).session(&world);
+        eager.initial_sweep();
+        let tracked = eager.tracked().to_vec();
+        let eager_state = eager.to_state();
+
+        let streamed = StreamedCampaign::sweep(builder(shards, false), config(2024));
+        let streamed_state = streamed.session().expect("handoff").to_state();
+        assert_eq!(eager_state.workers, streamed_state.workers, "{label}");
+        assert_eq!(
+            eager_state.merged_counts, streamed_state.merged_counts,
+            "{label}"
+        );
+
+        let is_tracked = |h: u32| tracked.binary_search(&spfail::world::HostId(h)).is_ok();
+        let mut tracked_ips: Vec<std::net::IpAddr> = tracked
+            .iter()
+            .map(|&h| std::net::IpAddr::V4(world.host(h).ip))
+            .collect();
+        tracked_ips.sort();
+        for (host, _) in &eager_state.merged_counts {
+            assert!(is_tracked(host.0), "{label}: mcount for untracked {host:?}");
+        }
+        for w in &eager_state.workers {
+            for (host, _) in &w.counts {
+                assert!(is_tracked(host.0), "{label}: wcount for untracked {host:?}");
+            }
+            for ((host, ..), _) in &w.occurrences {
+                assert!(is_tracked(*host), "{label}: wocc for untracked host {host}");
+            }
+            for (ip, _) in &w.contacts {
+                assert!(
+                    tracked_ips.binary_search(ip).is_ok(),
+                    "{label}: wcontact for untracked address {ip}"
+                );
+            }
+        }
+        match shards {
+            1 => assert_eq!(eager_state.workers.len(), 1, "{label}"),
+            _ => assert!(!eager_state.merged_counts.is_empty(), "{label}"),
+        }
+    }
 }
