@@ -391,8 +391,9 @@ const PER_CASE_ORACLE_BUDGET: u64 = 1400;
 /// Writing a checkpoint renders the session's own maps straight into a
 /// buffered file: no copy of the sweep results or the trace, no
 /// per-field temporaries. What is left is a fixed handful per call —
-/// the temp path, the write buffer, the sorted key lists (one per map,
-/// one per round), and the worker exports.
+/// the temp path, the write buffer, the sorted key lists (one per
+/// round and per counter map; the sweep column is already sorted), and
+/// the worker exports.
 #[test]
 fn checkpoint_write_allocation_budget() {
     use spfail_prober::CampaignBuilder;
@@ -423,10 +424,52 @@ fn checkpoint_write_allocation_budget() {
     );
 }
 
-/// Measured: 11 allocations for the checkpoint above; the budget is
+/// Measured: 10 allocations for the checkpoint above; the budget is
 /// twice that. Cloning the session into a `CampaignState` and building
 /// the whole text as one `String` measured 5957 on the same session.
-const CHECKPOINT_WRITE_BUDGET: u64 = 22;
+const CHECKPOINT_WRITE_BUDGET: u64 = 20;
+
+/// Restoring a checkpoint parses the text straight into the session's
+/// columns: sweep rows are plain values pushed into one host-sorted
+/// column, with no per-row id string, behaviour set or map entry. What
+/// is left is the file buffer, the column and round vectors, the
+/// carried-state maps, and the rebuilt worker.
+#[test]
+fn checkpoint_restore_allocation_budget() {
+    use spfail_prober::{CampaignBuilder, Session};
+    use spfail_world::{World, WorldConfig};
+
+    let _process = process_lock();
+    let world = World::generate(WorldConfig {
+        seed: 0x5bf2_a117,
+        scale: 0.004,
+        ..WorldConfig::default()
+    });
+    let mut session = CampaignBuilder::new().session(&world);
+    session.initial_sweep();
+    for _ in 0..3 {
+        session.advance_round();
+    }
+    let path = std::env::temp_dir().join(format!(
+        "spfail-alloc-count-restore-{}.txt",
+        std::process::id()
+    ));
+    session.checkpoint(&path).expect("write checkpoint");
+    drop(session);
+    let (allocs, restored) = count_allocs(|| Session::restore(&path, &world));
+    std::fs::remove_file(&path).ok();
+    restored.expect("restore checkpoint");
+    eprintln!("alloc_count: Session::restore = {allocs} allocs");
+    assert!(
+        allocs <= CHECKPOINT_RESTORE_BUDGET,
+        "Session::restore allocated {allocs} times, budget {CHECKPOINT_RESTORE_BUDGET}"
+    );
+}
+
+/// Measured: 91 allocations for the restore above; the budget is twice
+/// that. With a heap `String` id and a `BTreeSet` per probe outcome,
+/// collected into a hash map, the same restore measured 1584.
+const CHECKPOINT_RESTORE_BUDGET: u64 = 182;
 
 /// Run one eager campaign and report (peak heap growth, hosts probed).
 fn eager_campaign_peak(config: &spfail_world::WorldConfig) -> (u64, usize) {

@@ -17,29 +17,15 @@
 
 use std::collections::HashMap;
 
-use spfail_libspf2::MacroBehavior;
 use spfail_netsim::MetricsSnapshot;
 use spfail_world::{DomainId, HostId};
 
 use crate::campaign::{
     CampaignData, HostClass, HostInitialResult, RoundStatus, SnapshotStatus,
 };
+pub use crate::classify::BEHAVIOR_BITS;
 use crate::ethics::EthicsAudit;
 use crate::probe::ProbeTest;
-
-/// Every macro behaviour, in declaration order; the index of a behaviour
-/// in this array is its bit position in a [`HostMask`].
-pub const BEHAVIOR_BITS: [MacroBehavior; 9] = [
-    MacroBehavior::Compliant,
-    MacroBehavior::VulnerableLibSpf2,
-    MacroBehavior::PatchedLibSpf2,
-    MacroBehavior::NoExpansion,
-    MacroBehavior::ReverseNoTruncate,
-    MacroBehavior::TruncateNoReverse,
-    MacroBehavior::IgnoreTransformers,
-    MacroBehavior::EmptyExpansion,
-    MacroBehavior::MacroUnsupported,
-];
 
 /// A host's initial measurement, compressed to one `u32`.
 ///
@@ -102,12 +88,8 @@ impl HostMask {
             }
         }
         if let Some(classification) = result.classification() {
-            bits |= Self::MEASURED;
-            for (i, behavior) in BEHAVIOR_BITS.iter().enumerate() {
-                if classification.behaviors.contains(behavior) {
-                    bits |= 1 << i;
-                }
-            }
+            // Bits 0–8 are the behaviour set's own bits.
+            bits |= Self::MEASURED | u32::from(classification.behaviors.bits());
             if classification.vulnerable() {
                 bits |= Self::VULNERABLE;
             }

@@ -56,8 +56,9 @@ pub enum HostClass {
     SpfNotMeasured,
 }
 
-/// Both initial probes of one host.
-#[derive(Debug, Clone, PartialEq)]
+/// Both initial probes of one host: a plain value with no heap memory
+/// behind it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostInitialResult {
     /// The NoMsg probe (always attempted).
     pub nomsg: ProbeOutcome,
@@ -66,6 +67,11 @@ pub struct HostInitialResult {
 }
 
 impl HostInitialResult {
+    /// The probed host.
+    pub fn host(&self) -> HostId {
+        self.nomsg.host
+    }
+
     /// The conclusive classification, from whichever test produced one.
     pub fn classification(&self) -> Option<&Classification> {
         if self.nomsg.spf_measured() {
@@ -131,24 +137,130 @@ impl HostInitialResult {
     }
 }
 
+/// The initial sweep's per-host results as one host-sorted column,
+/// keyed by each row's [`HostInitialResult::host`]. Reads like a map:
+/// [`get`](InitialResults::get), and [`iter`](InitialResults::iter)
+/// yielding `(&HostId, &HostInitialResult)` pairs — in host order.
+///
+/// Every constructor keeps the hosts strictly ascending, so a host has
+/// at most one row. The full sweep is dense (row *i* is host *i*), which
+/// makes a lookup one index; a sparse column falls back to a binary
+/// search.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct InitialResults {
+    rows: Vec<HostInitialResult>,
+}
+
+/// `(host, row)` from a row, for [`InitialResults::iter`].
+type Keyed<'a> = std::iter::Map<
+    std::slice::Iter<'a, HostInitialResult>,
+    fn(&'a HostInitialResult) -> (&'a HostId, &'a HostInitialResult),
+>;
+
+impl InitialResults {
+    /// An empty column with room for `capacity` rows.
+    pub fn with_capacity(capacity: usize) -> InitialResults {
+        InitialResults {
+            rows: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Append a row. Its host must follow every host already in the
+    /// column; otherwise the row is refused and the last host returned.
+    pub fn push(&mut self, row: HostInitialResult) -> Result<(), HostId> {
+        match self.rows.last() {
+            Some(last) if last.host() >= row.host() => Err(last.host()),
+            _ => {
+                self.rows.push(row);
+                Ok(())
+            }
+        }
+    }
+
+    /// Merge host-sorted columns with disjoint hosts (the sharded
+    /// sweep's partitions) into one.
+    ///
+    /// # Panics
+    ///
+    /// If two parts share a host.
+    pub fn merge(parts: Vec<InitialResults>) -> InitialResults {
+        let mut merged = InitialResults::with_capacity(parts.iter().map(InitialResults::len).sum());
+        let mut parts: Vec<_> = parts.into_iter().map(|p| p.rows.into_iter()).collect();
+        let mut heads: Vec<Option<HostInitialResult>> = parts.iter_mut().map(Iterator::next).collect();
+        // Each step takes the smallest head; shard counts are small.
+        while let Some((_, i)) = heads
+            .iter()
+            .enumerate()
+            .filter_map(|(i, head)| Some((head.as_ref()?.host(), i)))
+            .min()
+        {
+            if let Some(row) = std::mem::replace(&mut heads[i], parts[i].next()) {
+                merged
+                    .push(row)
+                    .expect("sweep partitions hold disjoint hosts");
+            }
+        }
+        merged
+    }
+
+    /// The row of `host`, if it was probed.
+    pub fn get(&self, host: &HostId) -> Option<&HostInitialResult> {
+        match self.rows.get(host.0 as usize) {
+            Some(row) if row.host() == *host => Some(row),
+            _ => self
+                .rows
+                .binary_search_by_key(host, HostInitialResult::host)
+                .ok()
+                .map(|i| &self.rows[i]),
+        }
+    }
+
+    /// `(host, row)` pairs in host order.
+    pub fn iter(&self) -> Keyed<'_> {
+        self.rows.iter().map(|row| (&row.nomsg.host, row))
+    }
+
+    /// The rows in host order.
+    pub fn values(&self) -> std::slice::Iter<'_, HostInitialResult> {
+        self.rows.iter()
+    }
+
+    /// The number of hosts.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether no host has a row.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+}
+
+impl<'a> IntoIterator for &'a InitialResults {
+    type Item = (&'a HostId, &'a HostInitialResult);
+    type IntoIter = Keyed<'a>;
+
+    fn into_iter(self) -> Keyed<'a> {
+        self.iter()
+    }
+}
+
 /// The initial sweep's results.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct InitialMeasurement {
     /// Per-host results (every unique address probed once).
-    pub results: HashMap<HostId, HostInitialResult>,
+    pub results: InitialResults,
 }
 
 impl InitialMeasurement {
-    /// Hosts whose initial measurement showed the vulnerable fingerprint.
+    /// Hosts whose initial measurement showed the vulnerable fingerprint,
+    /// in host order.
     pub fn vulnerable_hosts(&self) -> Vec<HostId> {
-        let mut hosts: Vec<HostId> = self
-            .results
-            .iter()
-            .filter(|(_, r)| r.vulnerable())
-            .map(|(&h, _)| h)
-            .collect();
-        hosts.sort();
-        hosts
+        self.results
+            .values()
+            .filter(|r| r.vulnerable())
+            .map(HostInitialResult::host)
+            .collect()
     }
 }
 
@@ -496,7 +608,7 @@ impl Campaign {
             .advance_to(Timeline::day_to_time(Timeline::INITIAL));
         prober.ethics_mut().begin_sweep();
         let start = prober.context().clock.now();
-        let mut results = HashMap::with_capacity(hosts.len());
+        let mut results = InitialResults::with_capacity(hosts.len());
         for &host in hosts {
             let (nomsg, attempts) =
                 prober.probe_with_retry(host, Timeline::INITIAL, ProbeTest::NoMsg, 0);
@@ -512,7 +624,9 @@ impl Campaign {
                 None
             };
             counts.insert(host, seen);
-            results.insert(host, HostInitialResult { nomsg, blankmsg });
+            results
+                .push(HostInitialResult { nomsg, blankmsg })
+                .expect("the sweep visits hosts in ascending order");
             // Keep the query log bounded: each probe reads only its own
             // window, so anything older is dead weight.
             if query_log.len() > 50_000 {

@@ -20,7 +20,6 @@
 //! (written before the trailer existed) still parse.
 
 use std::borrow::Cow;
-use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
 use std::fs::File;
 use std::io::{self, BufWriter};
@@ -35,9 +34,9 @@ use spfail_smtp::client::TransactionOutcome;
 use spfail_trace::{unescape_field, write_escaped, ProbeRecord, TraceConfig};
 use spfail_world::HostId;
 
-use crate::campaign::{CampaignBuilder, HostInitialResult, RoundStatus};
-use crate::classify::Classification;
-use crate::probe::{ProbeOptions, ProbeOutcome, ProbeTest, RetryPolicy};
+use crate::campaign::{CampaignBuilder, HostInitialResult, InitialResults, RoundStatus};
+use crate::classify::{BehaviorSet, Classification};
+use crate::probe::{ProbeId, ProbeOptions, ProbeOutcome, ProbeTest, RetryPolicy};
 use crate::session::SessionStats;
 use crate::EthicsAudit;
 
@@ -85,8 +84,8 @@ pub struct CampaignState {
     /// the section (every eager checkpoint, and every file written
     /// before the section existed) parse exactly as before.
     pub masks: Option<Vec<u32>>,
-    /// The initial sweep's per-host results, host-sorted.
-    pub initial: Vec<(HostId, HostInitialResult)>,
+    /// The initial sweep's per-host results.
+    pub initial: InitialResults,
     /// Completed rounds: `(day, host-sorted statuses)`.
     pub rounds: Vec<(u16, Vec<(HostId, RoundStatus)>)>,
     /// Audit merged from already-retired workers.
@@ -261,7 +260,7 @@ fn parse_dns_fault(tok: &str) -> Result<ProbeError, String> {
 /// Serialise one probe outcome as six space-free tokens:
 /// `id transaction spf_triggered behaviors unknown_patterns dns_fault`.
 fn write_outcome(out: &mut impl fmt::Write, o: &ProbeOutcome) -> fmt::Result {
-    write_escaped(out, &o.id)?;
+    write_escaped(out, o.id.as_str())?;
     out.write_char(' ')?;
     match &o.transaction {
         Some(t) => write_transaction(out, t)?,
@@ -271,7 +270,7 @@ fn write_outcome(out: &mut impl fmt::Write, o: &ProbeOutcome) -> fmt::Result {
     if o.classification.behaviors.is_empty() {
         out.write_char('-')?;
     }
-    for (i, &b) in o.classification.behaviors.iter().enumerate() {
+    for (i, b) in o.classification.behaviors.iter().enumerate() {
         if i > 0 {
             out.write_char('+')?;
         }
@@ -288,18 +287,25 @@ fn parse_outcome(host: HostId, test: ProbeTest, toks: &[&str]) -> Result<ProbeOu
     let [id, txn, spf, behaviors, unknown, dns] = toks else {
         return Err(format!("probe outcome wants 6 tokens, got {}", toks.len()));
     };
-    let behaviors: BTreeSet<MacroBehavior> = if *behaviors == "-" {
-        BTreeSet::new()
+    let behaviors = if *behaviors == "-" {
+        BehaviorSet::default()
     } else {
         behaviors
             .split('+')
             .map(parse_behavior)
             .collect::<Result<_, _>>()?
     };
+    // Unescaping allocates, and generated ids never carry an escape.
+    let id = if id.contains('%') {
+        ProbeId::new(&unescape_field(id))
+    } else {
+        ProbeId::new(id)
+    }
+    .ok_or_else(|| format!("probe id {id:?} is longer than {} bytes", ProbeId::MAX))?;
     Ok(ProbeOutcome {
         host,
         test,
-        id: unescape_field(id),
+        id,
         transaction: match *txn {
             "none" => None,
             t => Some(parse_transaction(t)?),
@@ -447,7 +453,7 @@ fn parse_ethics(toks: &[&str]) -> Result<EthicsAudit, String> {
 /// [`Session::checkpoint`](crate::Session::checkpoint) renders a live
 /// session's own maps through it, so neither copies the sweep results
 /// or the trace. Every collection must arrive in canonical order.
-pub(crate) struct StateText<'a, I, R, T> {
+pub(crate) struct StateText<'a, R, T> {
     pub builder: &'a CampaignBuilder,
     pub world_seed: u64,
     pub world_scale: f64,
@@ -459,8 +465,7 @@ pub(crate) struct StateText<'a, I, R, T> {
     pub network_total: &'a MetricsSnapshot,
     /// Host-sorted.
     pub merged_counts: &'a [(HostId, u32)],
-    /// The initial sweep's results, host-sorted.
-    pub initial: I,
+    pub initial: &'a InitialResults,
     pub masks: Option<&'a [u32]>,
     /// Completed rounds, each host-sorted.
     pub rounds: R,
@@ -488,9 +493,8 @@ impl<W: fmt::Write> Lines<'_, W> {
     }
 }
 
-impl<'a, I, R, T> StateText<'a, I, R, T>
+impl<'a, R, T> StateText<'a, R, T>
 where
-    I: Iterator<Item = (HostId, &'a HostInitialResult)>,
     R: Iterator<Item = (u16, Cow<'a, [(HostId, RoundStatus)]>)>,
     T: Iterator<Item = &'a ProbeRecord>,
 {
@@ -718,7 +722,7 @@ impl CampaignState {
             ethics_total: &self.ethics_total,
             network_total: &self.network_total,
             merged_counts: &self.merged_counts,
-            initial: self.initial.iter().map(|(h, r)| (*h, r)),
+            initial: &self.initial,
             masks: self.masks.as_deref(),
             rounds: self
                 .rounds
@@ -759,7 +763,7 @@ impl CampaignState {
         let mut network_total = MetricsSnapshot::default();
         let mut merged_counts = Vec::new();
         let mut masks: Option<(usize, Vec<u32>)> = None;
-        let mut initial = Vec::new();
+        let mut initial = InitialResults::default();
         let mut rounds: Vec<(u16, Vec<(HostId, RoundStatus)>)> = Vec::new();
         let mut workers: Vec<WorkerState> = Vec::new();
         let mut trace_records = Vec::new();
@@ -947,7 +951,14 @@ impl CampaignState {
                     } else {
                         None
                     };
-                    initial.push((host, HostInitialResult { nomsg, blankmsg }));
+                    initial
+                        .push(HostInitialResult { nomsg, blankmsg })
+                        .map_err(|last| {
+                            err(format!(
+                                "init host {} after host {}: hosts must strictly ascend",
+                                host.0, last.0
+                            ))
+                        })?;
                 }
                 "aggregate" => {
                     let [version, count] = toks[..] else {
@@ -974,10 +985,16 @@ impl CampaignState {
                     let Some((_, statuses)) = rounds.last_mut() else {
                         return Err(err("st before any round".to_string()));
                     };
-                    statuses.push((
-                        HostId(parse_num(host, "host").map_err(err)?),
-                        parse_status(status).map_err(err)?,
-                    ));
+                    let host = HostId(parse_num(host, "host").map_err(err)?);
+                    if let Some(&(last, _)) = statuses.last() {
+                        if last >= host {
+                            return Err(err(format!(
+                                "st host {} after host {}: hosts must strictly ascend",
+                                host.0, last.0
+                            )));
+                        }
+                    }
+                    statuses.push((host, parse_status(status).map_err(err)?));
                 }
                 "worker" => workers.push(WorkerState {
                     clock_micros: 0,
@@ -1101,7 +1118,7 @@ mod tests {
     use spfail_trace::{Phase, TraceEvent, TraceEventKind};
 
     fn sample_outcome(host: u32, vulnerable: bool) -> ProbeOutcome {
-        let mut behaviors = BTreeSet::new();
+        let mut behaviors = BehaviorSet::default();
         if vulnerable {
             behaviors.insert(MacroBehavior::VulnerableLibSpf2);
             behaviors.insert(MacroBehavior::Compliant);
@@ -1109,7 +1126,7 @@ mod tests {
         ProbeOutcome {
             host: HostId(host),
             test: ProbeTest::NoMsg,
-            id: "ab3x".to_string(),
+            id: ProbeId::new("ab3x").expect("a short id"),
             transaction: Some(TransactionOutcome::NoMsgCompleted),
             classification: Classification {
                 spf_triggered: vulnerable,
@@ -1118,6 +1135,26 @@ mod tests {
             },
             dns_fault: vulnerable.then_some(ProbeError::SmtpTempFail(451)),
         }
+    }
+
+    fn sample_initial() -> InitialResults {
+        let mut initial = InitialResults::default();
+        for row in [
+            HostInitialResult {
+                nomsg: sample_outcome(3, true),
+                blankmsg: None,
+            },
+            HostInitialResult {
+                nomsg: sample_outcome(9, false),
+                blankmsg: Some(ProbeOutcome {
+                    test: ProbeTest::BlankMsg,
+                    ..sample_outcome(9, true)
+                }),
+            },
+        ] {
+            initial.push(row).expect("sample hosts ascend");
+        }
+        initial
     }
 
     fn sample_state() -> CampaignState {
@@ -1168,25 +1205,7 @@ mod tests {
                 round_probes_skipped: 44,
             },
             masks: None,
-            initial: vec![
-                (
-                    HostId(3),
-                    HostInitialResult {
-                        nomsg: sample_outcome(3, true),
-                        blankmsg: None,
-                    },
-                ),
-                (
-                    HostId(9),
-                    HostInitialResult {
-                        nomsg: sample_outcome(9, false),
-                        blankmsg: Some(ProbeOutcome {
-                            test: ProbeTest::BlankMsg,
-                            ..sample_outcome(9, true)
-                        }),
-                    },
-                ),
-            ],
+            initial: sample_initial(),
             rounds: vec![
                 (15, vec![(HostId(3), RoundStatus::Vulnerable)]),
                 (
@@ -1248,7 +1267,7 @@ mod tests {
     #[test]
     fn aggregate_section_round_trips_exactly() {
         let mut state = sample_state();
-        state.initial.clear();
+        state.initial = InitialResults::default();
         // More than one packed row, with high bits set.
         state.masks = Some((0..150u32).map(|i| i.wrapping_mul(0x9e37_79b9)).collect());
         let text = state.to_text();
@@ -1264,7 +1283,7 @@ mod tests {
     #[test]
     fn truncated_aggregate_sections_are_rejected() {
         let mut state = sample_state();
-        state.initial.clear();
+        state.initial = InitialResults::default();
         state.masks = Some(vec![0x0001_0000; 70]);
         let text = state.to_text();
         // Drop the second mask row: the declared count no longer matches.
@@ -1312,6 +1331,25 @@ mod tests {
         assert!(CampaignState::parse(&format!("{text}progress 2\n")).is_err());
         // A v1 file has no trailer to carry.
         assert!(CampaignState::parse(&text.replacen(MAGIC, MAGIC_V1, 1)).is_err());
+    }
+
+    /// Probe ids are held inline, so an `init` line carrying a longer
+    /// one is an error — before or after unescaping — never a panic.
+    #[test]
+    fn overlong_probe_ids_are_rejected() {
+        let text = sample_state().to_text();
+        assert!(text.contains("init 3 ab3x "));
+        for id in ["abcdefgh", "abcdefg%20"] {
+            assert!(id.len() > ProbeId::MAX);
+            let err = CampaignState::parse(&text.replace("init 3 ab3x ", &format!("init 3 {id} ")))
+                .expect_err("an overlong id must not parse");
+            assert!(err.contains("longer than 7 bytes"), "unexpected error: {err}");
+        }
+        // Seven bytes after unescaping still fit.
+        let fits = text.replace("init 3 ab3x ", "init 3 abcde%25x ");
+        let parsed = CampaignState::parse(&fits).expect("a 7-byte id parses");
+        let row = parsed.initial.get(&HostId(3)).expect("host 3");
+        assert_eq!(row.nomsg.id.as_str(), "abcde%x");
     }
 
     #[test]

@@ -22,9 +22,97 @@
 //! | *(TXT only, no A at all)*                  | macros unsupported    |
 
 use std::collections::BTreeSet;
+use std::fmt;
 
 use spfail_dns::{Name, QueryLogEntry, RecordType};
 use spfail_libspf2::MacroBehavior;
+
+/// Every macro behaviour, in declaration order; the index of a behaviour
+/// in this array is its bit in a [`BehaviorSet`] and in a
+/// [`HostMask`](crate::HostMask).
+pub const BEHAVIOR_BITS: [MacroBehavior; 9] = [
+    MacroBehavior::Compliant,
+    MacroBehavior::VulnerableLibSpf2,
+    MacroBehavior::PatchedLibSpf2,
+    MacroBehavior::NoExpansion,
+    MacroBehavior::ReverseNoTruncate,
+    MacroBehavior::TruncateNoReverse,
+    MacroBehavior::IgnoreTransformers,
+    MacroBehavior::EmptyExpansion,
+    MacroBehavior::MacroUnsupported,
+];
+
+// A behaviour's bit is its discriminant: pin that to the table.
+const _: () = {
+    let mut i = 0;
+    while i < BEHAVIOR_BITS.len() {
+        assert!(BEHAVIOR_BITS[i] as usize == i);
+        i += 1;
+    }
+};
+
+/// A set of [`MacroBehavior`]s as one bitset: bit *i* is
+/// `BEHAVIOR_BITS[i]`. Iteration runs in declaration order, which is
+/// the order a `BTreeSet<MacroBehavior>` yields, so a set renders the
+/// same way either spelling would.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct BehaviorSet(u16);
+
+impl BehaviorSet {
+    /// The set as bits indexed by [`BEHAVIOR_BITS`].
+    pub fn bits(self) -> u16 {
+        self.0
+    }
+
+    /// Add `behavior`; returns whether it was absent.
+    pub fn insert(&mut self, behavior: MacroBehavior) -> bool {
+        let bit = 1 << behavior as u16;
+        let absent = self.0 & bit == 0;
+        self.0 |= bit;
+        absent
+    }
+
+    /// Whether `behavior` is in the set.
+    pub fn contains(&self, behavior: &MacroBehavior) -> bool {
+        self.0 & (1 << *behavior as u16) != 0
+    }
+
+    /// The number of behaviours in the set.
+    pub fn len(&self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.0 == 0
+    }
+
+    /// The behaviours in declaration order.
+    pub fn iter(&self) -> impl Iterator<Item = MacroBehavior> {
+        let bits = self.0;
+        BEHAVIOR_BITS
+            .into_iter()
+            .enumerate()
+            .filter(move |&(i, _)| bits & (1 << i) != 0)
+            .map(|(_, b)| b)
+    }
+}
+
+impl FromIterator<MacroBehavior> for BehaviorSet {
+    fn from_iter<I: IntoIterator<Item = MacroBehavior>>(iter: I) -> BehaviorSet {
+        let mut set = BehaviorSet::default();
+        for behavior in iter {
+            set.insert(behavior);
+        }
+        set
+    }
+}
+
+impl fmt::Debug for BehaviorSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
 
 /// One named, intentional divergence from RFC 7208 behaviour.
 ///
@@ -149,13 +237,13 @@ pub fn quirks_for_behavior(behavior: MacroBehavior) -> Vec<&'static KnownQuirk> 
 }
 
 /// The classification of one probe's DNS activity.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Classification {
     /// Whether the SPF policy TXT record was fetched at all.
     pub spf_triggered: bool,
     /// The distinct expansion behaviours observed (≥2 means the host runs
     /// multiple SPF implementations, §7.9).
-    pub behaviors: BTreeSet<MacroBehavior>,
+    pub behaviors: BehaviorSet,
     /// Expansion prefixes that matched no known pattern.
     pub unknown_patterns: usize,
 }
@@ -196,7 +284,7 @@ impl Classification {
     pub fn quirk_names(&self) -> BTreeSet<&'static str> {
         self.behaviors
             .iter()
-            .flat_map(|&b| quirks_for_behavior(b))
+            .flat_map(quirks_for_behavior)
             .map(|q| q.name)
             .collect()
     }
@@ -505,6 +593,35 @@ mod tests {
         assert!(names.contains("dup-first-reversed-label"));
         assert!(names.contains("sign-extended-escape"));
         assert!(!names.contains("no-expansion"));
+    }
+
+    /// The checkpoint writes a set's behaviours in iteration order, so
+    /// the bitset must read exactly like the `BTreeSet` it replaced —
+    /// for every one of the 512 subsets.
+    #[test]
+    fn behavior_set_matches_btreeset_on_every_subset() {
+        for subset in 0u16..1 << BEHAVIOR_BITS.len() {
+            let members = BEHAVIOR_BITS
+                .into_iter()
+                .enumerate()
+                .filter(|&(i, _)| subset & (1 << i) != 0)
+                .map(|(_, b)| b);
+            let tree: BTreeSet<MacroBehavior> = members.clone().collect();
+            // Insert in reverse so the order of insertion cannot leak.
+            let mut set = BehaviorSet::default();
+            for b in members.rev() {
+                assert!(set.insert(b));
+                assert!(!set.insert(b), "re-inserting {b:?} reports present");
+            }
+            assert_eq!(set.bits(), subset);
+            assert_eq!(set.iter().collect::<Vec<_>>(), tree.iter().copied().collect::<Vec<_>>());
+            assert_eq!(set.len(), tree.len());
+            assert_eq!(set.is_empty(), tree.is_empty());
+            for b in BEHAVIOR_BITS {
+                assert_eq!(set.contains(&b), tree.contains(&b), "{subset:#x} {b:?}");
+            }
+            assert_eq!(format!("{set:?}"), format!("{tree:?}"));
+        }
     }
 
     #[test]

@@ -43,17 +43,18 @@ pub mod streaming;
 pub use aggregate::{CampaignSummary, HostMask, OnlineAggregate, BEHAVIOR_BITS, SERIES_BUCKETS};
 pub use campaign::{
     partition_hosts, shard_of, CampaignBuilder, CampaignData, CampaignRun,
-    CampaignTiming, HostClass, HostInitialResult, InitialMeasurement, RoundStatus,
-    SnapshotStatus,
+    CampaignTiming, HostClass, HostInitialResult, InitialMeasurement, InitialResults,
+    RoundStatus, SnapshotStatus,
 };
 pub use checkpoint::{CampaignState, WorkerState};
 pub use classify::{
-    classify, quirk_by_name, quirks_for_behavior, Classification, KnownQuirk, KNOWN_QUIRKS,
+    classify, quirk_by_name, quirks_for_behavior, BehaviorSet, Classification, KnownQuirk,
+    KNOWN_QUIRKS,
 };
 pub use ethics::{EthicsAudit, EthicsGuard};
 pub use probe::{
-    ProbeContext, ProbeOptions, ProbeOutcome, ProbeTest, ProbeVerdict, Prober, RetryPolicy,
-    CONNECT_TIMEOUT,
+    ProbeContext, ProbeId, ProbeOptions, ProbeOutcome, ProbeTest, ProbeVerdict, Prober,
+    RetryPolicy, CONNECT_TIMEOUT,
 };
 pub use session::{Session, SessionStats};
 pub use streaming::{StreamedCampaign, StreamingRun};

@@ -1,6 +1,7 @@
 //! Driving one probe transaction against one simulated host.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -51,6 +52,73 @@ impl ProbeTest {
             ProbeTest::NoMsg => 0,
             ProbeTest::BlankMsg => 1,
         }
+    }
+}
+
+/// A probe's unique id label, held inline: at most [`ProbeId::MAX`]
+/// bytes of UTF-8 in one 8-byte `Copy` value, so a probe outcome owns
+/// no heap memory. Generated ids are 4–5 lowercase alphanumerics.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct ProbeId {
+    len: u8,
+    bytes: [u8; ProbeId::MAX],
+}
+
+impl ProbeId {
+    /// The longest label an id holds, in bytes.
+    pub const MAX: usize = 7;
+
+    /// The id spelled `label`, or `None` when it is longer than
+    /// [`ProbeId::MAX`] bytes.
+    pub fn new(label: &str) -> Option<ProbeId> {
+        let mut id = ProbeId::default();
+        id.bytes.get_mut(..label.len())?.copy_from_slice(label.as_bytes());
+        id.len = label.len() as u8;
+        Some(id)
+    }
+
+    /// The label.
+    pub fn as_str(&self) -> &str {
+        // Ids are built from whole `&str`s and ASCII pushes only, so the
+        // bytes are always valid UTF-8.
+        std::str::from_utf8(&self.bytes[..usize::from(self.len)]).unwrap_or_default()
+    }
+
+    /// `len` lowercase alphanumerics drawn from `rng` — one `below(36)`
+    /// per character, the draws of [`SimRng::alnum_label`].
+    fn alnum(rng: &mut SimRng, len: usize) -> ProbeId {
+        const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789";
+        let mut id = ProbeId::default();
+        for _ in 0..len {
+            id.push(ALPHABET[rng.below(ALPHABET.len() as u64) as usize]);
+        }
+        id
+    }
+
+    /// Append one ASCII byte; the caller keeps the id within
+    /// [`ProbeId::MAX`].
+    fn push(&mut self, byte: u8) {
+        debug_assert!(byte.is_ascii());
+        self.bytes[usize::from(self.len)] = byte;
+        self.len += 1;
+    }
+
+    /// Whether the id can label a probe under `suite`: it must not
+    /// collide with the fingerprint's fixed labels or the suite label.
+    fn usable(&self, suite: &str) -> bool {
+        !RESERVED_ID_LABELS.contains(&self.as_str()) && self.as_str() != suite
+    }
+}
+
+impl fmt::Display for ProbeId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl fmt::Debug for ProbeId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
     }
 }
 
@@ -239,14 +307,14 @@ impl ProbeContext {
 }
 
 /// Everything one probe produced.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeOutcome {
     /// The probed host.
     pub host: HostId,
     /// Which variant ran.
     pub test: ProbeTest,
     /// The probe's unique id label.
-    pub id: String,
+    pub id: ProbeId,
     /// How the SMTP transaction concluded (None = TCP refused).
     pub transaction: Option<TransactionOutcome>,
     /// What the DNS queries revealed.
@@ -518,18 +586,18 @@ impl<'w> Prober<'w> {
 
     /// Generate the next unique probe id: a 4–5 character alphanumeric
     /// label that never collides with the fingerprint's fixed labels.
-    /// The embedded base-36 counter guarantees uniqueness for the first
-    /// 46 656 ids without relying on the random prefix.
-    pub fn next_probe_id(&mut self) -> String {
+    /// The embedded 3-digit base-36 counter guarantees uniqueness for the
+    /// first 46 656 ids without relying on the random prefix.
+    pub fn next_probe_id(&mut self) -> ProbeId {
+        const BASE36: &[u8] = b"0123456789abcdefghijklmnopqrstuvwxyz";
         loop {
             self.next_id += 1;
-            let len = 4 + (self.next_id % 2) as usize;
-            let id = format!(
-                "{}{}",
-                self.rng.alnum_label(len - 3),
-                base36(self.next_id % 46_656)
-            );
-            if !RESERVED_ID_LABELS.contains(&id.as_str()) && id != self.suite {
+            let mut id = ProbeId::alnum(&mut self.rng, 1 + (self.next_id % 2) as usize);
+            let n = self.next_id % 46_656;
+            for digit in [n / 1296, n / 36 % 36, n % 36] {
+                id.push(BASE36[digit as usize]);
+            }
+            if id.usable(&self.suite) {
                 return id;
             }
         }
@@ -753,7 +821,12 @@ impl<'w> Prober<'w> {
             }
         });
         let entries = self.ctx.query_log.entries_from(log_start);
-        let classification = classify(&entries, &id, &self.suite, &self.pop.runtime().zone_origin);
+        let classification = classify(
+            &entries,
+            id.as_str(),
+            &self.suite,
+            &self.pop.runtime().zone_origin,
+        );
 
         ProbeOutcome {
             host,
@@ -849,11 +922,11 @@ impl<'w> Prober<'w> {
     /// only need to be unique within one probe's query-log window (each
     /// probe classifies only the entries it appended itself), so two
     /// different probes drawing the same label is harmless.
-    fn probe_id(rng: &mut SimRng, suite: &str) -> String {
+    fn probe_id(rng: &mut SimRng, suite: &str) -> ProbeId {
         loop {
             let len = 4 + rng.below(2) as usize;
-            let id = rng.alnum_label(len);
-            if !RESERVED_ID_LABELS.contains(&id.as_str()) && id != suite {
+            let id = ProbeId::alnum(rng, len);
+            if id.usable(suite) {
                 return id;
             }
         }
@@ -977,17 +1050,6 @@ impl<'w> Prober<'w> {
     }
 }
 
-fn base36(mut n: u64) -> String {
-    const DIGITS: &[u8] = b"0123456789abcdefghijklmnopqrstuvwxyz";
-    let mut out = Vec::with_capacity(3);
-    for _ in 0..3 {
-        out.push(DIGITS[(n % 36) as usize]);
-        n /= 36;
-    }
-    out.reverse();
-    String::from_utf8(out).expect("ascii")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1005,10 +1067,60 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for _ in 0..2_000 {
             let id = prober.next_probe_id();
-            assert!((4..=5).contains(&id.len()), "id length: {id}");
+            assert!((4..=5).contains(&id.as_str().len()), "id length: {id}");
             assert!(!RESERVED_ID_LABELS.contains(&id.as_str()));
             assert!(seen.insert(id), "ids must be unique");
         }
+    }
+
+    /// The inline id draws exactly what the `String` path it replaced
+    /// drew — same labels, same rng consumption — so every probe id,
+    /// SMTP sender, query name and digest downstream is unchanged.
+    #[test]
+    fn probe_ids_match_the_string_path() {
+        fn string_probe_id(rng: &mut SimRng, suite: &str) -> String {
+            loop {
+                let len = 4 + rng.below(2) as usize;
+                let id = rng.alnum_label(len);
+                if !RESERVED_ID_LABELS.contains(&id.as_str()) && id != suite {
+                    return id;
+                }
+            }
+        }
+        let base = world().runtime().fork_rng("prober-s1");
+        for host in 0..500u32 {
+            for n in 0..3 {
+                let identity = format!("probe-h{host}-d0-t0-x0-n{n}");
+                let (mut inline, mut string) = (base.fork(&identity), base.fork(&identity));
+                assert_eq!(
+                    Prober::probe_id(&mut inline, "s1").as_str(),
+                    string_probe_id(&mut string, "s1"),
+                    "{identity}"
+                );
+                assert_eq!(inline.below(1 << 20), string.below(1 << 20), "{identity}");
+            }
+        }
+
+        // The counter-suffixed sequence too.
+        let w = world();
+        let mut prober = Prober::new(&w, "s01");
+        let mut rng = w.runtime().fork_rng("prober-s01").fork("id-sequence");
+        for next in 1..=300u64 {
+            let digits: String = [next / 1296, next / 36 % 36, next % 36]
+                .iter()
+                .map(|&d| char::from_digit(d as u32, 36).unwrap())
+                .collect();
+            let expected = format!("{}{digits}", rng.alnum_label(1 + (next % 2) as usize));
+            assert_eq!(prober.next_probe_id().as_str(), expected);
+        }
+    }
+
+    #[test]
+    fn probe_id_holds_at_most_max_bytes() {
+        assert_eq!(ProbeId::new("abcdefg").map(|id| id.to_string()), Some("abcdefg".into()));
+        assert_eq!(ProbeId::new("abcdefgh"), None);
+        assert_eq!(ProbeId::new("").map(|id| id.to_string()), Some(String::new()));
+        assert_eq!(std::mem::size_of::<ProbeId>(), 8);
     }
 
     #[test]

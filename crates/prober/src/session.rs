@@ -68,7 +68,7 @@ use spfail_world::{DomainId, HostId, Population, Timeline};
 use crate::aggregate::{CampaignSummary, HostMask};
 use crate::campaign::{
     partition_hosts, Campaign, CampaignBuilder, CampaignData, CampaignRun, CampaignTiming,
-    HostInitialResult, InitialMeasurement, RoundStatus,
+    InitialMeasurement, InitialResults, RoundStatus,
 };
 use crate::checkpoint::{CampaignState, StateText, WorkerState};
 use crate::ethics::{EthicsAudit, MAX_CONCURRENT};
@@ -352,11 +352,11 @@ impl<'w> Session<'w> {
         })
         .expect("scope");
 
-        let mut initial = InitialMeasurement::default();
+        let mut parts = Vec::with_capacity(sweep_outputs.len());
         for (part_initial, part_counts, part_audit, part_network, part_cache, busy, part_trace) in
             sweep_outputs
         {
-            initial.results.extend(part_initial.results);
+            parts.push(part_initial.results);
             self.merged_counts.extend(part_counts);
             self.ethics_total = self.ethics_total.merge(&part_audit);
             self.network_total = self.network_total.merge(&part_network);
@@ -364,6 +364,9 @@ impl<'w> Session<'w> {
             self.initial_busy = self.initial_busy.max(busy);
             self.trace_parts.push(part_trace);
         }
+        let initial = InitialMeasurement {
+            results: InitialResults::merge(parts),
+        };
         self.note_tracking(&initial);
         self.initial = Some(initial);
         // The round workers read these for tracked hosts only; `prune`'s
@@ -720,11 +723,7 @@ impl<'w> Session<'w> {
     /// re-running `initial_sweep` would not recompute).
     pub fn to_state(&mut self) -> CampaignState {
         self.drain_tracers();
-        let initial = self.initial_results();
-        let initial = sorted_keys(initial)
-            .into_iter()
-            .map(|h| (h, initial[&h].clone()))
-            .collect();
+        let initial = self.initial_results().clone();
         let config = &self.pop.runtime().config;
         CampaignState {
             builder: self.builder,
@@ -754,7 +753,7 @@ impl<'w> Session<'w> {
     /// # Panics
     ///
     /// If the initial sweep has not run.
-    fn initial_results(&self) -> &HashMap<HostId, HostInitialResult> {
+    fn initial_results(&self) -> &InitialResults {
         &self
             .initial
             .as_ref()
@@ -849,7 +848,7 @@ impl<'w> Session<'w> {
             session.streamed = Some(masks);
         } else {
             let initial = InitialMeasurement {
-                results: state.initial.into_iter().collect(),
+                results: state.initial,
             };
             session.note_tracking(&initial);
             session.initial = Some(initial);
@@ -951,8 +950,6 @@ impl<'w> Session<'w> {
     /// [`Session::to_state`] for what is saved and when this is legal.
     pub fn checkpoint(&mut self, path: impl AsRef<Path>) -> io::Result<()> {
         self.drain_tracers();
-        let initial = self.initial_results();
-        let hosts = sorted_keys(initial);
         let merged_counts = self.sorted_merged_counts();
         let workers: Vec<WorkerState> = self.workers.iter().map(Worker::state).collect();
         let config = &self.pop.runtime().config;
@@ -967,7 +964,7 @@ impl<'w> Session<'w> {
             ethics_total: &self.ethics_total,
             network_total: &self.network_total,
             merged_counts: &merged_counts,
-            initial: hosts.iter().map(|h| (*h, &initial[h])),
+            initial: self.initial_results(),
             masks: self.streamed.as_deref(),
             rounds: self
                 .sorted_rounds()
@@ -1007,13 +1004,6 @@ impl<'w> Session<'w> {
     pub(crate) fn seed_cache_total(&mut self, stats: PolicyCacheStats) {
         self.cache_total = self.cache_total.merge(&stats);
     }
-}
-
-/// A hash map's keys in sorted order.
-fn sorted_keys<V>(map: &HashMap<HostId, V>) -> Vec<HostId> {
-    let mut keys: Vec<HostId> = map.keys().copied().collect();
-    keys.sort_unstable();
-    keys
 }
 
 /// One incremental longitudinal round: identical to

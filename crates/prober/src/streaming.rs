@@ -44,7 +44,7 @@ use spfail_world::{
 
 use crate::aggregate::HostMask;
 use crate::campaign::{
-    shard_of, CampaignBuilder, CampaignRun, HostInitialResult,
+    shard_of, CampaignBuilder, CampaignRun, HostInitialResult, InitialResults,
 };
 use crate::checkpoint::CampaignState;
 use crate::ethics::MAX_CONCURRENT;
@@ -116,7 +116,7 @@ impl StreamedCampaign {
             initial_busy: sweep.busy,
             rounds_busy: SimDuration::ZERO,
             stats: SessionStats::default(),
-            initial: Vec::new(),
+            initial: InitialResults::default(),
             rounds: Vec::new(),
             ethics_total: sweep.ethics_total,
             network_total: sweep.network_total,
@@ -155,7 +155,7 @@ impl StreamedCampaign {
                 .initial
                 .iter()
                 .filter(|(_, r)| r.vulnerable())
-                .map(|&(h, _)| h)
+                .map(|(&h, _)| h)
                 .collect(),
         };
         let runtime = WorldRuntime::new(config.clone());

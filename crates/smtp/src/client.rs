@@ -42,7 +42,7 @@ pub struct TransactionPlan {
 }
 
 /// How a transaction concluded.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransactionOutcome {
     /// Rejected by the banner / connect policy.
     RejectedAtConnect(u16),

@@ -179,6 +179,80 @@ fn checkpoint_cut_inside_the_worker_section_is_rejected() {
     assert!(err.contains("truncated"), "unexpected error: {err}");
 }
 
+/// `text` with `extra` inserted after the first line `after` matches,
+/// and the `end` trailer recounted so only the insertion is wrong.
+fn insert_line(text: &str, after: impl Fn(&str) -> bool, extra: &str) -> String {
+    let mut lines: Vec<&str> = text.lines().filter(|l| !l.starts_with("end ")).collect();
+    let at = lines.iter().position(|l| after(l)).expect("an anchor line");
+    lines.insert(at + 1, extra);
+    let mut out: String = lines.iter().flat_map(|l| [*l, "\n"]).collect();
+    out.push_str(&format!("end {}\n", lines.len()));
+    out
+}
+
+/// A sequential checkpoint after three rounds, as text.
+fn round3_text() -> String {
+    let world = World::generate(small(2024));
+    let mut session = CampaignBuilder::new().session(&world);
+    session.initial_sweep();
+    for _ in 0..3 {
+        session.advance_round();
+    }
+    session.to_state().to_text()
+}
+
+/// The reported reproduction: a second `init` line for host 1, placed
+/// after host 2's, used to replace host 1's real result ("last line
+/// wins"). Sweep rows must strictly ascend, so it is refused with its
+/// line number, and the file does not restore.
+#[test]
+fn duplicated_init_host_is_rejected() {
+    let text = round3_text();
+    assert!(text.contains("\ninit 1 "), "host 1 has a real init line");
+    let forged = insert_line(&text, |l| l.starts_with("init 2 "), "init 1 zzzz none 0 - 0 none");
+    let line = forged
+        .lines()
+        .position(|l| l == "init 1 zzzz none 0 - 0 none")
+        .expect("the forged line")
+        + 1;
+    let err = CampaignState::parse(&forged).expect_err("a duplicated host must not parse");
+    assert!(err.starts_with(&format!("line {line}: ")), "unexpected error: {err}");
+
+    let path = temp_path("duplicate-init");
+    std::fs::write(&path, &forged).expect("write forged checkpoint");
+    let world = World::generate(small(2024));
+    let restored = Session::restore(&path, &world);
+    std::fs::remove_file(&path).ok();
+    assert!(restored.is_err(), "a duplicated host must not restore");
+
+    // Out of order without a duplicate is refused too.
+    let mut lines: Vec<&str> = text.lines().collect();
+    let first = lines.iter().position(|l| l.starts_with("init ")).expect("init lines");
+    lines.swap(first + 1, first + 2);
+    let swapped: String = lines.iter().flat_map(|l| [*l, "\n"]).collect();
+    assert!(CampaignState::parse(&swapped).is_err(), "swapped init lines must not parse");
+}
+
+/// Within one round, `st` lines must strictly ascend by host too: a
+/// repeated host used to overwrite the first status silently.
+#[test]
+fn repeated_round_status_host_is_rejected() {
+    let text = round3_text();
+    let statuses: Vec<&str> = text
+        .lines()
+        .skip_while(|l| !l.starts_with("round "))
+        .skip(1)
+        .take_while(|l| l.starts_with("st "))
+        .collect();
+    assert!(statuses.len() >= 2, "the first round holds several statuses");
+    let first = statuses[0];
+    let forged = insert_line(&text, |l| l == statuses[1], first);
+    let err = CampaignState::parse(&forged).expect_err("a repeated host must not parse");
+    assert!(err.starts_with("line "), "unexpected error: {err}");
+    // The same host in two different rounds is of course fine.
+    assert!(CampaignState::parse(&text).is_ok());
+}
+
 #[test]
 fn failed_write_leaves_the_previous_checkpoint_in_place() {
     let world = World::generate(small(77));
