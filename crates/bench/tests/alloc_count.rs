@@ -471,6 +471,42 @@ fn checkpoint_restore_allocation_budget() {
 /// collected into a hash map, the same restore measured 1584.
 const CHECKPOINT_RESTORE_BUDGET: u64 = 182;
 
+/// One longitudinal round re-probes every tracked host. Per probe the
+/// prober forks its RNG streams from the formatted label without
+/// building it, formats the DNS-fault salt only when DNS faults are on,
+/// reuses the cached sender-domain suffix, and replays the host's
+/// historical connections without building a reply for each.
+#[test]
+fn round_allocation_budget() {
+    use spfail_prober::CampaignBuilder;
+    use spfail_world::{World, WorldConfig};
+
+    let _process = process_lock();
+    let world = World::generate(WorldConfig {
+        seed: 0x5bf2_a117,
+        scale: 0.004,
+        ..WorldConfig::default()
+    });
+    let mut session = CampaignBuilder::new().session(&world);
+    session.initial_sweep();
+    for _ in 0..3 {
+        session.advance_round();
+    }
+    let (allocs, day) = count_allocs(|| session.advance_round());
+    day.expect("a fourth round remains");
+    eprintln!("alloc_count: Session::advance_round = {allocs} allocs");
+    assert!(
+        allocs <= ROUND_BUDGET,
+        "Session::advance_round allocated {allocs} times, budget {ROUND_BUDGET}"
+    );
+}
+
+/// Measured: 2186 allocations for the round above. Formatting a label
+/// `String` per RNG fork, the DNS salt on every probe, and the zone name
+/// per sender domain, and building a `Reply` per replayed connection,
+/// measured 2349 on the same round; the budget sits between the two.
+const ROUND_BUDGET: u64 = 2260;
+
 /// Run one eager campaign and report (peak heap growth, hosts probed).
 fn eager_campaign_peak(config: &spfail_world::WorldConfig) -> (u64, usize) {
     use spfail_prober::CampaignBuilder;

@@ -209,6 +209,30 @@ impl Mta {
         }
     }
 
+    /// Replay `n` historical connections from `peer` without answering
+    /// them: the connection counter, per-connection state, and RNG end
+    /// exactly where `n` calls to [`Mta::connect`] would leave them (one
+    /// `chance(0.5)` draw per connection over the blacklist limit), but
+    /// no reply is built. Probers use this to restore a host's
+    /// campaign-wide connection count on a freshly built instance; it
+    /// sends nothing.
+    pub fn replay_connections(&mut self, peer: IpAddr, n: u32) {
+        if n == 0 {
+            return;
+        }
+        let before = self.probe_connections;
+        self.probe_connections += n;
+        self.peer = peer;
+        self.pending_sender = None;
+        self.rejected_rcpts_this_envelope = 0;
+        if let Some(limit) = self.config.blacklist_after {
+            // Connections numbered `limit + 1` and up draw their banner.
+            for _ in 0..self.probe_connections.saturating_sub(before.max(limit)) {
+                let _ = self.rng.chance(0.5);
+            }
+        }
+    }
+
     /// Open the SMTP session after a `Proceed` decision.
     pub fn open_session(&mut self) -> (ServerSession<&mut Mta>, Reply) {
         let hostname = self.config.hostname.clone();
@@ -987,6 +1011,41 @@ mod tests {
                 assert!(reply.code == 421 || reply.code == 554);
             }
             other => panic!("expected blacklist banner, got {other:?}"),
+        }
+    }
+
+    /// Draw a few values to compare two MTAs' RNG positions.
+    fn next_draws(m: &mut Mta) -> Vec<u64> {
+        (0..4).map(|_| m.rng.below(1 << 40)).collect()
+    }
+
+    #[test]
+    fn replayed_connections_match_real_connects() {
+        let peer: IpAddr = "203.0.113.9".parse().unwrap();
+        let blacklisting = {
+            let mut config = MtaConfig::vulnerable("mx.bl.test");
+            config.blacklist_after = Some(3);
+            config
+        };
+        let plain = MtaConfig::vulnerable("mx.plain.test");
+        // Below, at, and above the blacklist limit of 3.
+        for config in [blacklisting, plain] {
+            for n in [0, 1, 2, 3, 4, 7] {
+                let (mut connected, _) = mta(config.clone());
+                for _ in 0..n {
+                    let _ = connected.connect(peer);
+                }
+                let (mut replayed, _) = mta(config.clone());
+                replayed.replay_connections(peer, n);
+                assert_eq!(replayed.connections_seen(), connected.connections_seen());
+                assert_eq!(
+                    replayed.connect(peer),
+                    connected.connect(peer),
+                    "{} after {n}",
+                    config.hostname
+                );
+                assert_eq!(next_draws(&mut replayed), next_draws(&mut connected));
+            }
         }
     }
 

@@ -7,6 +7,8 @@
 //! process) forks its own stream, so iteration order and population size
 //! changes never perturb unrelated entities.
 
+use std::fmt;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -17,14 +19,31 @@ pub struct SimRng {
     seed: u64,
 }
 
-/// FNV-1a over a byte string; cheap, stable label hashing for forking.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step per byte, continuing from `hash`.
+fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x1000_0000_01b3);
     }
     hash
+}
+
+/// FNV-1a over a byte string; cheap, stable label hashing for forking.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// A [`fmt::Write`] sink that FNV-1a hashes the bytes written to it, so
+/// a formatted label can be hashed without materialising the `String`.
+struct FnvWriter(u64);
+
+impl fmt::Write for FnvWriter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a_extend(self.0, s.as_bytes());
+        Ok(())
+    }
 }
 
 /// One round of splitmix64; decorrelates related seeds.
@@ -56,6 +75,18 @@ impl SimRng {
     /// the parent in between.
     pub fn fork(&self, label: &str) -> SimRng {
         SimRng::new(splitmix64(self.seed ^ fnv1a(label.as_bytes())))
+    }
+
+    /// [`SimRng::fork`] with the label given as `format_args!(..)`: the
+    /// bytes are hashed as they are formatted, so
+    /// `fork_fmt(format_args!(..))` yields the same stream as
+    /// `fork(&format!(..))` without allocating the label.
+    pub fn fork_fmt(&self, label: fmt::Arguments<'_>) -> SimRng {
+        let mut hasher = FnvWriter(FNV_OFFSET);
+        // `FnvWriter::write_str` never fails, and integer and string
+        // `Display` impls only fail when the sink does.
+        let _ = fmt::Write::write_fmt(&mut hasher, label);
+        SimRng::new(splitmix64(self.seed ^ hasher.0))
     }
 
     /// Derive an independent stream identified by an index, e.g. per host.
@@ -199,6 +230,36 @@ mod tests {
             (0..8).map(|_| r.next_u64()).collect()
         };
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn fork_fmt_matches_fork_of_the_formatted_label() {
+        let parent = SimRng::new(0x5bf2_a117);
+        let draws = |mut r: SimRng| (0..8).map(|_| r.next_u64()).collect::<Vec<_>>();
+        // 0-, 1- and 10-digit fields in the probe, backoff and dns label
+        // shapes the prober forks per probe.
+        for (h, day, tag, x, n) in [
+            (0u32, 0u16, 0u8, 0u32, 0u64),
+            (7, 3, 1, 5, 9),
+            (4_000_000_000, 65_535, 255, 4_000_000_000, 9_999_999_999),
+        ] {
+            assert_eq!(
+                draws(parent.fork_fmt(format_args!("probe-h{h}-d{day}-t{tag}-x{x}-n{n}"))),
+                draws(parent.fork(&format!("probe-h{h}-d{day}-t{tag}-x{x}-n{n}")))
+            );
+            assert_eq!(
+                draws(parent.fork_fmt(format_args!("backoff-h{h}-d{day}-t{tag}-x{x}-a{n}"))),
+                draws(parent.fork(&format!("backoff-h{h}-d{day}-t{tag}-x{x}-a{n}")))
+            );
+            assert_eq!(
+                draws(parent.fork_fmt(format_args!("dns-h{h}-d{day}-t{tag}-x{x}-n{n}"))),
+                draws(parent.fork(&format!("dns-h{h}-d{day}-t{tag}-x{x}-n{n}")))
+            );
+        }
+        assert_eq!(
+            draws(parent.fork_fmt(format_args!(""))),
+            draws(parent.fork(""))
+        );
     }
 
     #[test]

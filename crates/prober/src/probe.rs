@@ -412,6 +412,9 @@ pub struct Prober<'w> {
     pop: &'w dyn Population,
     /// The per-campaign suite label (§5.1: unique per test suite).
     pub suite: String,
+    /// `.{suite}.{zone}`: every probe's sender domain is its id followed
+    /// by this suffix.
+    sender_suffix: String,
     source_ip: IpAddr,
     ctx: ProbeContext,
     base_rng: SimRng,
@@ -462,6 +465,7 @@ impl<'w> Prober<'w> {
         Prober {
             pop,
             suite: suite.to_string(),
+            sender_suffix: format!(".{suite}.{}", pop.runtime().zone_origin.to_ascii()),
             source_ip: "203.0.113.25".parse().expect("static address"),
             ethics: EthicsGuard::with_budget(ctx.clock.clone(), max_concurrent),
             rng: base_rng.fork("id-sequence"),
@@ -576,7 +580,7 @@ impl<'w> Prober<'w> {
             .get(&(host.0, day, test_tag, extra_connections))
             .copied()
             .unwrap_or(0);
-        let mut rng = self.base_rng.fork(&format!(
+        let mut rng = self.base_rng.fork_fmt(format_args!(
             "probe-h{}-d{day}-t{test_tag}-x{extra_connections}-n{occurrence}",
             host.0
         ));
@@ -666,7 +670,7 @@ impl<'w> Prober<'w> {
             *counter += 1;
             occurrence
         };
-        let mut rng = self.base_rng.fork(&format!(
+        let mut rng = self.base_rng.fork_fmt(format_args!(
             "probe-h{}-d{day}-t{test_tag}-x{extra_connections}-n{occurrence}",
             host.0
         ));
@@ -765,10 +769,12 @@ impl<'w> Prober<'w> {
         // When DNS faults are active the MTA's stream is salted with the
         // probe identity, so a retried probe re-rolls the resolver's
         // fault dice instead of replaying the same timeout forever.
-        let dns_salt = format!(
-            "dns-h{}-d{day}-t{test_tag}-x{extra_connections}-n{occurrence}",
-            host.0
-        );
+        let dns_salt = self.options.faults.dns.is_active().then(|| {
+            format!(
+                "dns-h{}-d{day}-t{test_tag}-x{extra_connections}-n{occurrence}",
+                host.0
+            )
+        });
         let mut mta = self.pop.runtime().build_mta_record(
             host,
             record,
@@ -778,29 +784,17 @@ impl<'w> Prober<'w> {
             MtaInstrumentation {
                 dns_faults: self.options.faults.dns,
                 metrics: self.metrics.clone(),
-                reroll: self
-                    .options
-                    .faults
-                    .dns
-                    .is_active()
-                    .then_some(dns_salt.as_str()),
+                reroll: dns_salt.as_deref(),
                 tracer: self.ctx.tracer.clone(),
                 policy_cache: self.ctx.policy_cache.clone(),
             },
         );
         // Restore the host's cross-round connection count so blacklisting
         // thresholds apply campaign-wide, not per-instance.
-        for _ in 0..extra_connections {
-            let _ = mta.connect(self.source_ip); // lint:allow(ethics-probe-budget) replays the historical connection counter against a fresh Mta instance; no new traffic reaches any host
-        }
+        mta.replay_connections(self.source_ip, extra_connections);
 
         let log_start = self.ctx.query_log.len();
-        let sender_domain = format!(
-            "{}.{}.{}",
-            id,
-            self.suite,
-            self.pop.runtime().zone_origin.to_ascii()
-        );
+        let sender_domain = format!("{id}{}", self.sender_suffix);
         // The MTA's resolver reports into this prober's metrics; the
         // delta across the transaction tells us whether injected DNS
         // faults disturbed this particular probe's measurement.
@@ -892,7 +886,7 @@ impl<'w> Prober<'w> {
                     break;
                 }
             }
-            let mut backoff_rng = self.base_rng.fork(&format!(
+            let mut backoff_rng = self.base_rng.fork_fmt(format_args!(
                 "backoff-h{}-d{day}-t{}-x{extra_connections}-a{attempts}",
                 host.0,
                 test.tag()

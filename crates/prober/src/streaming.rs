@@ -3,28 +3,34 @@
 //!
 //! The eager engine materializes the whole population, probes it, and
 //! keeps every per-host initial result for the lifetime of the run —
-//! peak heap O(hosts). This driver runs the same campaign in three
+//! peak heap O(hosts). This driver runs the same campaign in two
 //! bounded passes:
 //!
-//! 1. **Sweep** — drive a [`LazyWorld`] host stream through the initial
-//!    sweep, folding each host's results into one [`HostMask`] the
-//!    moment they exist and recording only the vulnerable `(host, ip)`
-//!    pairs. Host records live exactly as long as their synthesis step;
-//!    prober-side per-host state (repetition counters, contact history,
-//!    blacklist counters) is pruned to the vulnerable set as the sweep
-//!    goes, by the rule the eager sweep applies once at its end
-//!    ([`crate::session`]'s `prune`).
-//! 2. **Retention replay** — re-drive the synthesis stream (identical by
-//!    construction) keeping just the tracked host records and the
-//!    domains that reference them: a [`SparsePopulation`] of O(tracked)
-//!    records over the *live* runtime surface of pass 1.
-//! 3. **Handoff** — assemble the sweep into an in-memory
+//! 1. **Sweep with inline retention** — drive a [`LazyWorld`] host
+//!    stream through the initial sweep, folding each host's results into
+//!    one [`HostMask`] the moment they exist and recording only the
+//!    vulnerable `(host, ip)` pairs. Once a step's fresh hosts are
+//!    probed, every mask its domain needs exists, so the step goes
+//!    through the one retention rule (`retain_step`) on the spot: the
+//!    tracked host records and the domains that reference them form a
+//!    [`SparsePopulation`] of O(tracked) records; every other record
+//!    lives exactly as long as its synthesis step. Prober-side per-host
+//!    state (repetition counters, contact history, blacklist counters)
+//!    is pruned to the vulnerable set as the sweep goes, by the rule the
+//!    eager sweep applies once at its end ([`crate::session`]'s
+//!    `prune`).
+//! 2. **Handoff** — assemble the sweep into an in-memory
 //!    [`CampaignState`] (the same structure a checkpoint serialises,
 //!    with the mask column as its `aggregate v1` section) and continue
 //!    through the ordinary staged [`Session`]: the rounds, snapshot,
 //!    trace merge, and summary are *the checkpoint-resume path*, which
 //!    `tests/session_checkpoint.rs` already proves byte-identical to an
 //!    uninterrupted run.
+//!
+//! Two arms cannot retain inline and replay the synthesis stream once
+//! instead, through the same rule: a sharded sweep (its feeder thread
+//! dispatches records before any shard has probed them) and
+//! [`StreamedCampaign::adopt`] (a checkpoint carries masks, not records).
 //!
 //! Peak heap is O(shards + tracked + masks) — the mask column is 4
 //! bytes per host, the one deliberately compact O(hosts) term — instead
@@ -38,8 +44,8 @@ use std::sync::mpsc::{sync_channel, Receiver};
 use spfail_netsim::{PolicyCacheStats, SimDuration};
 use spfail_trace::{Phase, Tracer};
 use spfail_world::{
-    HostId, HostRecord, LazyWorld, RuntimePopulation, SparsePopulation, Timeline, WorldConfig,
-    WorldRuntime,
+    DomainStep, HostId, HostRecord, LazyWorld, RuntimePopulation, SparsePopulation, Timeline,
+    WorldConfig, WorldRuntime,
 };
 
 use crate::aggregate::HostMask;
@@ -92,19 +98,22 @@ pub struct StreamedCampaign {
 
 impl StreamedCampaign {
     /// Run the initial sweep for `builder` over the lazily synthesized
-    /// world of `config`, then replay the stream to retain the tracked
-    /// subset.
+    /// world of `config`, retaining the tracked subset as it goes
+    /// (sequential) or by one replay of the stream after the join
+    /// (sharded).
     pub fn sweep(builder: CampaignBuilder, config: WorldConfig) -> StreamedCampaign {
         let lazy = LazyWorld::new(config.clone());
         let runtime = lazy.runtime().clone();
         let sharded = builder.shards > 1;
-        let sweep = if sharded {
+        let mut sweep = if sharded {
             sweep_sharded(&builder, lazy, &runtime)
         } else {
             sweep_sequential(&builder, lazy, &runtime)
         };
-        let tracked: Vec<HostId> = sweep.vulnerable.iter().map(|&(h, _)| h).collect();
-        let population = retain(config.clone(), runtime, &tracked);
+        let population = sweep.population.take().unwrap_or_else(|| {
+            let tracked: Vec<HostId> = sweep.vulnerable.iter().map(|&(h, _)| h).collect();
+            replay_retain(config.clone(), runtime, &tracked)
+        });
         let mut counts: Vec<(HostId, u32)> = sweep.counts.into_iter().collect();
         counts.sort_by_key(|(h, _)| *h);
         let state = CampaignState {
@@ -136,7 +145,7 @@ impl StreamedCampaign {
 
     /// Resume a checkpointed campaign state (of either vintage: eager
     /// init lines or a streamed aggregate section) in streaming mode:
-    /// replay the synthesis stream to retain the tracked subset, then
+    /// replay the synthesis stream once to retain the tracked subset, then
     /// continue through [`StreamedCampaign::session`]. The checkpoint
     /// must be for the world of `config` (seed and scale are validated
     /// at session construction).
@@ -159,7 +168,7 @@ impl StreamedCampaign {
                 .collect(),
         };
         let runtime = WorldRuntime::new(config.clone());
-        let population = retain(config, runtime, &tracked);
+        let population = replay_retain(config, runtime, &tracked);
         StreamedCampaign {
             population,
             state,
@@ -215,6 +224,10 @@ struct SweepOutput {
     masks: Vec<u32>,
     /// The tracked hosts and their (unique) addresses, id-sorted.
     vulnerable: Vec<(HostId, Ipv4Addr)>,
+    /// Sequential: the population retained inline as the sweep went.
+    /// Sharded: `None` — the feeder cannot see the masks, so
+    /// [`replay_retain`] runs after the join.
+    population: Option<SparsePopulation>,
     /// Blacklist counters of the tracked hosts.
     counts: HashMap<HostId, u32>,
     /// Sharded: totals merged at the sweep join (sequential sweeps carry
@@ -286,6 +299,7 @@ fn sweep_sequential(
     let mut masks: Vec<u32> = Vec::new();
     let mut vulnerable: Vec<(HostId, Ipv4Addr)> = Vec::new();
     let mut counts: HashMap<HostId, u32> = HashMap::new();
+    let mut population = SparsePopulation::new(runtime.clone());
     for step in lazy {
         let first = step.first_fresh.0;
         for (offset, record) in step.fresh.iter().enumerate() {
@@ -304,6 +318,12 @@ fn sweep_sequential(
                 prune(&mut prober, &mut counts, &vulnerable);
             }
         }
+        // Every host the domain lists now has its mask: its fresh hosts
+        // were just probed, and a host from an earlier step was probed
+        // at that step.
+        retain_step(&mut population, step, |h| {
+            HostMask(masks[h.0 as usize]).tracked()
+        });
     }
     prune(&mut prober, &mut counts, &vulnerable);
     let busy = prober.context().clock.now().since(start);
@@ -314,6 +334,7 @@ fn sweep_sequential(
     SweepOutput {
         masks,
         vulnerable,
+        population: Some(population),
         counts,
         ethics_total: crate::EthicsAudit::default(),
         network_total: spfail_netsim::MetricsSnapshot::default(),
@@ -414,7 +435,6 @@ fn sweep_sharded(
         txs.push(tx);
         rxs.push(rx);
     }
-    let host_count_hint = lazy.domain_count(); // lower bound, resized below
     let shard_outputs: Vec<ShardOut> = crossbeam::thread::scope(|s| {
         let handles: Vec<_> = rxs.into_iter().map(|rx| s.spawn(|_| worker(rx))).collect();
         // The feeder: synthesize on this thread, dispatch each fresh
@@ -436,7 +456,8 @@ fn sweep_sharded(
     })
     .expect("scope");
 
-    let mut masks = vec![0u32; host_count_hint];
+    let total: usize = shard_outputs.iter().map(|o| o.masks.len()).sum();
+    let mut masks = vec![0u32; total];
     let mut vulnerable = Vec::new();
     let mut counts = HashMap::new();
     let mut ethics_total = crate::EthicsAudit::default();
@@ -444,8 +465,6 @@ fn sweep_sharded(
     let mut cache_seed = PolicyCacheStats::default();
     let mut busy = SimDuration::ZERO;
     let mut trace_records = Vec::new();
-    let total: usize = shard_outputs.iter().map(|o| o.masks.len()).sum();
-    masks.resize(total, 0);
     for (shard, out) in shard_outputs.into_iter().enumerate() {
         for (i, m) in out.masks.into_iter().enumerate() {
             masks[shard + i * shards] = m;
@@ -462,6 +481,7 @@ fn sweep_sharded(
     SweepOutput {
         masks,
         vulnerable,
+        population: None,
         counts,
         ethics_total,
         network_total,
@@ -473,54 +493,57 @@ fn sweep_sharded(
     }
 }
 
-/// The retention replay: re-drive the synthesis stream (bit-identical
-/// to the sweep's, both are `LazyWorld::new(config)`) keeping the
-/// domains with a tracked host and *every* host those domains
-/// reference — the records the rounds, snapshot, and notification
-/// phases look up (delivery walks a vulnerable domain's whole MX list,
-/// and the funnel reads every member host's ground truth, so tracked
-/// hosts alone are not enough). The retained domains are precisely the
-/// initially vulnerable ones, which is what makes
+/// The retention rule, applied to one synthesis step: keep the step's
+/// domain iff any of its hosts is `tracked`, and each fresh host record
+/// iff that host is tracked or the domain is kept. The kept domains are
+/// precisely the initially vulnerable ones, which is what makes
 /// [`SparsePopulation::derive_vulnerable_domains`] agree with the eager
-/// full-world scan.
+/// full-world scan; every host a kept domain lists is kept with it
+/// (delivery walks a vulnerable domain's whole MX list, and the funnel
+/// reads every member host's ground truth, so tracked hosts alone are
+/// not enough).
 ///
-/// Two passes: shared-hosting domains reference hosts synthesized for
-/// *earlier* domains, so which hosts to keep is only known once every
-/// domain's membership has streamed by. Pass one collects the host-id
-/// set, pass two the records — synthesis is cheap, holding the
-/// population is what streaming avoids.
-fn retain(config: WorldConfig, runtime: WorldRuntime, tracked: &[HostId]) -> SparsePopulation {
-    let mut keep_hosts: Vec<HostId> = Vec::new();
-    for step in LazyWorld::new(config.clone()) {
-        if step
-            .domain
-            .hosts
-            .iter()
-            .any(|h| tracked.binary_search(h).is_ok())
-        {
-            keep_hosts.extend(step.domain.hosts.iter().copied());
+/// One step suffices, with no look-ahead: a domain lists a host from an
+/// earlier step only through a shared-hosting or parking pool, and such
+/// a domain lists that host alone. So it is kept only if the pool host
+/// is tracked — and a tracked pool host was kept at the step that
+/// created it, whose domain lists it.
+fn retain_step(
+    population: &mut SparsePopulation,
+    step: DomainStep,
+    tracked: impl Fn(HostId) -> bool,
+) {
+    let keep_domain = step.domain.hosts.iter().any(|&h| tracked(h));
+    let first = step.first_fresh.0;
+    for (offset, record) in step.fresh.into_iter().enumerate() {
+        let host = HostId(first + offset as u32);
+        if keep_domain || tracked(host) {
+            population.insert_host(host, record);
         }
     }
-    keep_hosts.sort();
-    keep_hosts.dedup();
+    if keep_domain {
+        debug_assert!(
+            step.domain.hosts.iter().all(|&h| population.has_host(h)),
+            "domain {:?} kept without all of its hosts",
+            step.id
+        );
+        population.insert_domain(step.id, step.domain);
+    }
+}
 
+/// The retention replay, for the arms that cannot retain inline (the
+/// sharded sweep's feeder never sees a mask; [`StreamedCampaign::adopt`]
+/// has no sweep at all): re-drive the synthesis stream once — identical
+/// by construction, both are `LazyWorld::new(config)` — through
+/// [`retain_step`] against the sorted `tracked` list.
+fn replay_retain(
+    config: WorldConfig,
+    runtime: WorldRuntime,
+    tracked: &[HostId],
+) -> SparsePopulation {
     let mut population = SparsePopulation::new(runtime);
     for step in LazyWorld::new(config) {
-        let first = step.first_fresh.0;
-        for (offset, record) in step.fresh.into_iter().enumerate() {
-            let id = HostId(first + offset as u32);
-            if keep_hosts.binary_search(&id).is_ok() {
-                population.insert_host(id, record);
-            }
-        }
-        if step
-            .domain
-            .hosts
-            .iter()
-            .any(|h| tracked.binary_search(h).is_ok())
-        {
-            population.insert_domain(step.id, step.domain);
-        }
+        retain_step(&mut population, step, |h| tracked.binary_search(&h).is_ok());
     }
     population
 }
@@ -562,6 +585,51 @@ mod tests {
         let eager = CampaignBuilder::new().shards(3).run(&world);
         let streamed = CampaignBuilder::new().shards(3).run_streaming(config());
         assert_eq!(streamed.run.summary, eager.summary);
+    }
+
+    /// Inline retention (sequential sweep), the one-pass replay
+    /// (sharded sweep), and the former two-pass rule — keep every host a
+    /// domain with a tracked host lists — keep the same records.
+    #[test]
+    fn inline_replay_and_two_pass_retention_agree() {
+        let sequential = StreamedCampaign::sweep(CampaignBuilder::new(), config());
+        let sharded = StreamedCampaign::sweep(CampaignBuilder::new().shards(3), config());
+        let masks = sequential
+            .state
+            .masks
+            .as_ref()
+            .expect("streamed sweep masks");
+        assert_eq!(Some(masks), sharded.state.masks.as_ref());
+        let tracked: Vec<HostId> = (0..masks.len() as u32)
+            .map(HostId)
+            .filter(|h| HostMask(masks[h.0 as usize]).tracked())
+            .collect();
+        assert!(!tracked.is_empty());
+
+        let listed_tracked =
+            |hosts: &[HostId]| hosts.iter().any(|h| tracked.binary_search(h).is_ok());
+        let mut keep_hosts: Vec<HostId> = Vec::new();
+        let mut keep_domains = Vec::new();
+        for step in LazyWorld::new(config()) {
+            if listed_tracked(&step.domain.hosts) {
+                keep_hosts.extend(step.domain.hosts.iter().copied());
+                keep_domains.push(step.id);
+            }
+        }
+        keep_hosts.sort();
+        keep_hosts.dedup();
+
+        for streamed in [&sequential, &sharded] {
+            let population = streamed.population();
+            assert_eq!(population.host_count(), keep_hosts.len());
+            assert_eq!(population.domain_count(), keep_domains.len());
+            for &h in &keep_hosts {
+                assert!(population.has_host(h), "{h:?} not retained");
+            }
+            // Every retained domain lists a tracked host, so this is the
+            // retained domain set.
+            assert_eq!(population.derive_vulnerable_domains(&tracked), keep_domains);
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! and tracked hosts, all of which the streaming pipeline keeps, so the
 //! eager and streaming exhibits share one implementation.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
 use serde_json::{json, Value};
 use spfail_prober::{RoundStatus, SnapshotStatus};
@@ -16,94 +16,111 @@ use crate::series::{render_chart, Series};
 use crate::table::{count_pct, pct, Table};
 use crate::Exhibit;
 
-/// Precomputed longitudinal lookups shared by the time-series figures.
+/// A tracked host's direct measurement in one round, as stored in
+/// [`View`]'s per-round columns (an `Inconclusive` measurement and no
+/// measurement at all read the same).
+const NOT_MEASURED: u8 = 0;
+const MEASURED_VULNERABLE: u8 = 1;
+const MEASURED_PATCHED: u8 = 2;
+
+/// Precomputed longitudinal columns shared by the time-series figures,
+/// all indexed by a host's position in the sorted tracked list. Rounds
+/// only ever measure tracked hosts.
 struct View<'a> {
     src: &'a Source<'a>,
-    tracked: BTreeSet<HostId>,
-    first_patched: BTreeMap<HostId, u16>,
-    last_vulnerable: BTreeMap<HostId, u16>,
+    tracked: Vec<HostId>,
+    /// Per round (in `CampaignData::rounds` order): each tracked host's
+    /// direct measurement code.
+    direct: Vec<Vec<u8>>,
+    /// First round day each tracked host measured `Patched`.
+    first_patched: Vec<Option<u16>>,
+    /// Last round day each tracked host measured `Vulnerable`.
+    last_vulnerable: Vec<Option<u16>>,
 }
 
 impl<'a> View<'a> {
     fn new(src: &'a Source<'a>) -> View<'a> {
         let campaign = src.campaign();
-        let tracked: BTreeSet<HostId> = campaign.tracked.iter().copied().collect();
-        let mut first_patched = BTreeMap::new();
-        let mut last_vulnerable = BTreeMap::new();
+        let mut tracked = campaign.tracked.clone();
+        tracked.sort_unstable();
+        tracked.dedup();
+        let mut first_patched = vec![None; tracked.len()];
+        let mut last_vulnerable = vec![None; tracked.len()];
+        let mut direct = Vec::with_capacity(campaign.rounds.len());
         for (day, statuses) in &campaign.rounds {
-            let mut by_host: Vec<(HostId, RoundStatus)> =
-                statuses.iter().map(|(&host, &status)| (host, status)).collect();
-            by_host.sort_unstable_by_key(|(host, _)| *host);
-            for (host, status) in by_host {
-                match status {
-                    RoundStatus::Patched => {
-                        first_patched.entry(host).or_insert(*day);
+            let column: Vec<u8> = tracked
+                .iter()
+                .map(|host| match statuses.get(host) {
+                    Some(RoundStatus::Vulnerable) => MEASURED_VULNERABLE,
+                    Some(RoundStatus::Patched) => MEASURED_PATCHED,
+                    Some(RoundStatus::Inconclusive) | None => NOT_MEASURED,
+                })
+                .collect();
+            for (i, &code) in column.iter().enumerate() {
+                match code {
+                    MEASURED_PATCHED => {
+                        first_patched[i].get_or_insert(*day);
                     }
-                    RoundStatus::Vulnerable => {
-                        last_vulnerable.insert(host, *day);
-                    }
-                    RoundStatus::Inconclusive => {}
+                    MEASURED_VULNERABLE => last_vulnerable[i] = Some(*day),
+                    _ => {}
                 }
             }
+            direct.push(column);
         }
         View {
             src,
             tracked,
+            direct,
             first_patched,
             last_vulnerable,
         }
     }
 
-    /// A host's inferred status at `day` given that round's direct
-    /// measurements.
-    fn host_status(
-        &self,
-        host: HostId,
-        day: u16,
-        direct: &HashMap<HostId, RoundStatus>,
-    ) -> RoundStatus {
-        match direct.get(&host) {
-            Some(&RoundStatus::Vulnerable) => return RoundStatus::Vulnerable,
-            Some(&RoundStatus::Patched) => return RoundStatus::Patched,
+    /// For each of `domains`, the tracked-list indices of its tracked
+    /// hosts — resolved once, so the per-round [`View::domain_state`]
+    /// reads slices only.
+    fn members(&self, domains: &[DomainId]) -> Vec<Vec<usize>> {
+        domains
+            .iter()
+            .map(|&d| {
+                self.src
+                    .domain(d)
+                    .hosts
+                    .iter()
+                    .filter_map(|h| self.tracked.binary_search(h).ok())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Tracked host `i`'s inferred status on round `round` (day `day`).
+    fn host_status(&self, i: usize, round: usize, day: u16) -> RoundStatus {
+        match self.direct[round][i] {
+            MEASURED_VULNERABLE => return RoundStatus::Vulnerable,
+            MEASURED_PATCHED => return RoundStatus::Patched,
             _ => {}
         }
-        if self.last_vulnerable.get(&host).is_some_and(|&d| d >= day) {
+        if self.last_vulnerable[i].is_some_and(|d| d >= day) {
             return RoundStatus::Vulnerable;
         }
-        if self.first_patched.get(&host).is_some_and(|&d| d <= day) {
+        if self.first_patched[i].is_some_and(|d| d <= day) {
             return RoundStatus::Patched;
         }
         RoundStatus::Inconclusive
     }
 
-    /// `(directly_measured, status)` for one domain at one round.
-    fn domain_state(
-        &self,
-        domain: DomainId,
-        day: u16,
-        direct: &HashMap<HostId, RoundStatus>,
-    ) -> (bool, RoundStatus) {
-        let hosts: Vec<HostId> = self
-            .src
-            .domain(domain)
-            .hosts
-            .iter()
-            .copied()
-            .filter(|h| self.tracked.contains(h))
-            .collect();
-        if hosts.is_empty() {
+    /// `(directly_measured, status)` for one domain, given its tracked
+    /// members from [`View::members`], at one round.
+    fn domain_state(&self, members: &[usize], round: usize, day: u16) -> (bool, RoundStatus) {
+        if members.is_empty() {
             return (false, RoundStatus::Inconclusive);
         }
-        let all_direct = hosts.iter().all(|h| {
-            matches!(
-                direct.get(h),
-                Some(RoundStatus::Vulnerable) | Some(RoundStatus::Patched)
-            )
-        });
+        let direct = &self.direct[round];
+        let all_direct = members.iter().all(|&i| direct[i] != NOT_MEASURED);
         let mut all_patched = true;
         let mut any_vulnerable = false;
-        for &host in &hosts {
-            match self.host_status(host, day, direct) {
+        for &i in members {
+            match self.host_status(i, round, day) {
                 RoundStatus::Vulnerable => any_vulnerable = true,
                 RoundStatus::Patched => {}
                 RoundStatus::Inconclusive => all_patched = false,
@@ -200,13 +217,13 @@ fn fig3_impl(src: &Source) -> Exhibit {
         countries: BTreeMap<&'static str, usize>,
     }
     let mut buckets: BTreeMap<(i32, i32), Bucket> = BTreeMap::new();
-    for &host in &src.campaign().tracked {
+    for (&host, first_patched) in view.tracked.iter().zip(&view.first_patched) {
         let record = src.host(host);
         let cell = geo::bucket(&record.geo, 15.0);
         let bucket = buckets.entry(cell).or_default();
         bucket.vulnerable += 1;
         *bucket.countries.entry(record.geo.country).or_default() += 1;
-        if view.first_patched.contains_key(&host) {
+        if first_patched.is_some() {
             bucket.patched += 1;
         }
     }
@@ -323,14 +340,15 @@ fn fig4_impl(src: &Source) -> Exhibit {
 /// Shared builder for the Figure 5/8 conclusiveness series.
 fn conclusiveness(src: &Source, domains: &[DomainId]) -> (Series, Series, Vec<Value>) {
     let view = View::new(src);
+    let members = view.members(domains);
     let mut measured = Series::new("successful measurements");
     let mut with_inferred = Series::new("incl. inferred");
     let mut json_rows = Vec::new();
-    for (day, direct) in &src.campaign().rounds {
+    for (round, (day, _)) in src.campaign().rounds.iter().enumerate() {
         let mut direct_count = 0usize;
         let mut inferred_count = 0usize;
-        for &d in domains {
-            let (is_direct, status) = view.domain_state(d, *day, direct);
+        for hosts in &members {
+            let (is_direct, status) = view.domain_state(hosts, round, *day);
             if is_direct {
                 direct_count += 1;
             } else if status != RoundStatus::Inconclusive {
@@ -391,11 +409,11 @@ fn vulnerability_rates(src: &Source, window1_only: bool) -> (Vec<Series>, Vec<Va
     let sets = [SetFilter::AlexaTopList, SetFilter::Alexa1000, SetFilter::TwoWeek];
     let mut all_series: Vec<Series> = sets.iter().map(|s| Series::new(s.label())).collect();
     let mut json_rows = Vec::new();
-    let domains_per_set: Vec<Vec<DomainId>> = sets
+    let members_per_set: Vec<Vec<Vec<usize>>> = sets
         .iter()
-        .map(|&s| src.vulnerable_domains_in(s))
+        .map(|&s| view.members(&src.vulnerable_domains_in(s)))
         .collect();
-    for (day, direct) in &src.campaign().rounds {
+    for (round, (day, _)) in src.campaign().rounds.iter().enumerate() {
         if window1_only && *day > Timeline::WINDOW1_END {
             break;
         }
@@ -405,8 +423,8 @@ fn vulnerability_rates(src: &Source, window1_only: bool) -> (Vec<Series>, Vec<Va
         for (i, set) in sets.iter().enumerate() {
             let mut vulnerable = 0usize;
             let mut known = 0usize;
-            for &d in &domains_per_set[i] {
-                match view.domain_state(d, *day, direct).1 {
+            for hosts in &members_per_set[i] {
+                match view.domain_state(hosts, round, *day).1 {
                     RoundStatus::Vulnerable => {
                         vulnerable += 1;
                         known += 1;
@@ -559,7 +577,8 @@ fn attribution_impl(src: &Source) -> Exhibit {
     let mut rows: BTreeMap<(&str, &str), usize> = BTreeMap::new();
     let mut attributed = 0usize;
     let mut correct = 0usize;
-    for (&host, &first_day) in &view.first_patched {
+    for (&host, &first_day) in view.tracked.iter().zip(&view.first_patched) {
+        let Some(first_day) = first_day else { continue };
         let truth = src.host(host).profile.patch_cause;
         let truth_label = match truth {
             Some(PatchCause::AutoUpdate(_)) => "auto-update",

@@ -803,6 +803,50 @@ mod tests {
         assert_eq!(hosts_seen, world.hosts.len());
     }
 
+    /// The invariant one-step retention rests on: a domain lists a host
+    /// synthesized at an earlier step only as its sole host (a shared-
+    /// hosting or parking pool), and such a pool host is listed by the
+    /// domain whose step created it.
+    #[test]
+    fn earlier_hosts_are_sole_pool_hosts_listed_by_their_creator() {
+        for seed in [7, 41, 2024] {
+            for scale in [0.002, 0.005] {
+                let config = WorldConfig {
+                    scale,
+                    ..WorldConfig::small(seed)
+                };
+                let mut listed_by_creator: Vec<bool> = Vec::new();
+                let mut pooled = 0usize;
+                for step in LazyWorld::new(config) {
+                    let first = step.first_fresh.0;
+                    for offset in 0..step.fresh.len() as u32 {
+                        let host = HostId(first + offset);
+                        listed_by_creator.push(step.domain.hosts.contains(&host));
+                    }
+                    for &h in &step.domain.hosts {
+                        if h.0 >= first {
+                            continue;
+                        }
+                        pooled += 1;
+                        assert_eq!(
+                            step.domain.hosts.len(),
+                            1,
+                            "seed {seed} scale {scale}: {:?} lists earlier host {h:?} \
+                             among others",
+                            step.id
+                        );
+                        assert!(
+                            listed_by_creator[h.0 as usize],
+                            "seed {seed} scale {scale}: pool host {h:?} not listed by \
+                             the domain that created it"
+                        );
+                    }
+                }
+                assert!(pooled > 0, "seed {seed} scale {scale}: no pool hosts drawn");
+            }
+        }
+    }
+
     #[test]
     fn pick_distinct_is_sorted_and_deterministic() {
         // Regression pin for the ISSUE-4 bug class: the sparse branch
