@@ -173,10 +173,10 @@ fn ablation_multiquery(c: &mut Criterion) {
 
     // Chained implementations (vulnerable + compliant).
     let mut config = MtaConfig::vulnerable("mx.multi.test");
-    config.spf_impls = vec![
+    config.spf_impls = spfail_mta::SpfImpls::new(&[
         spfail_libspf2::MacroBehavior::VulnerableLibSpf2,
         spfail_libspf2::MacroBehavior::Compliant,
-    ];
+    ]);
     config.reject_on_spf_fail = false;
     let mut mta = Mta::new(
         config,

@@ -38,7 +38,7 @@ pub mod zonefile;
 pub use authority::{Authority, StaticAuthority};
 pub use iterative::{IterativeError, IterativeResolver, WalkResult};
 pub use message::{Header, Message, Opcode, Question, Rcode};
-pub use name::{Name, NameError};
+pub use name::{Labels, Name, NameError};
 pub use pcap::{PcapSink, PcapWriter};
 pub use querylog::{QueryLog, QueryLogEntry};
 pub use rdata::{RData, Record, RecordClass, RecordType};

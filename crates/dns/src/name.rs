@@ -270,7 +270,10 @@ impl Name {
     /// re-parsing its dotted spelling.
     pub fn splice_content(&self, offsets: &[u16], replacement: &[u8]) -> Name {
         debug_assert!(replacement.iter().all(|&b| Self::check_byte(b).is_ok()));
-        let mut wire = self.wire_bytes().to_vec();
+        let bytes = self.wire_bytes();
+        let mut buf = [0u8; MAX_WIRE_CONTENT];
+        let wire = &mut buf[..bytes.len()];
+        wire.copy_from_slice(bytes);
         #[cfg(debug_assertions)]
         for &offset in offsets {
             let (at, end) = (offset as usize, offset as usize + replacement.len());
@@ -290,7 +293,7 @@ impl Name {
             let at = offset as usize;
             wire[at..at + replacement.len()].copy_from_slice(replacement);
         }
-        Self::from_wire_unchecked(&wire)
+        Self::from_wire_unchecked(wire)
     }
 
     /// Number of labels (the root has zero).
@@ -413,23 +416,15 @@ impl Name {
     }
 
     /// Strip `suffix` from the end of the name, returning the remaining
-    /// prefix labels (deepest first, original spelling), or `None` when
-    /// `self` is not under `suffix`.
-    pub fn strip_suffix(&self, suffix: &Name) -> Option<Vec<String>> {
+    /// prefix labels (deepest first, original spelling, borrowed from
+    /// this name), or `None` when `self` is not under `suffix`.
+    pub fn strip_suffix(&self, suffix: &Name) -> Option<Labels<'_>> {
         let boundary = self.suffix_start(suffix)?;
-        let bytes = self.wire_bytes();
-        let mut out = Vec::new();
-        let mut pos = 0usize;
-        while pos < boundary {
-            let len = bytes[pos] as usize;
-            out.push(
-                std::str::from_utf8(&bytes[pos + 1..pos + 1 + len])
-                    .expect("labels are printable ASCII")
-                    .to_string(),
-            );
-            pos += 1 + len;
-        }
-        Some(out)
+        // The canonical and original spellings share their framing, so
+        // the boundary cuts the original bytes between two labels too.
+        Some(Labels {
+            rest: &self.wire_bytes()[..boundary],
+        })
     }
 
     /// A copy with all labels lowercased (canonical form). When the name
@@ -469,6 +464,13 @@ impl Name {
 #[derive(Clone)]
 pub struct Labels<'a> {
     rest: &'a [u8],
+}
+
+impl Labels<'_> {
+    /// Whether no labels remain.
+    pub fn is_empty(&self) -> bool {
+        self.rest.is_empty()
+    }
 }
 
 impl<'a> Iterator for Labels<'a> {
@@ -644,12 +646,17 @@ mod tests {
 
     #[test]
     fn strip_suffix_returns_prefix_labels() {
+        let strip = |name: &str, suffix: &str| {
+            n(name)
+                .strip_suffix(&n(suffix))
+                .map(|labels| labels.map(str::to_string).collect::<Vec<_>>())
+        };
         assert_eq!(
-            n("a.b.example.com").strip_suffix(&n("example.com")),
+            strip("a.b.example.com", "example.com"),
             Some(vec!["a".to_string(), "b".to_string()])
         );
-        assert_eq!(n("a.example.com").strip_suffix(&n("other.com")), None);
-        assert_eq!(n("example.com").strip_suffix(&n("example.com")), Some(vec![]));
+        assert_eq!(strip("a.example.com", "other.com"), None);
+        assert_eq!(strip("example.com", "example.com"), Some(vec![]));
     }
 
     #[test]
@@ -764,9 +771,8 @@ mod tests {
 
     #[test]
     fn strip_suffix_is_case_insensitive_and_preserves_spelling() {
-        assert_eq!(
-            n("A.B.Example.COM").strip_suffix(&n("example.com")),
-            Some(vec!["A".to_string(), "B".to_string()])
-        );
+        let name = n("A.B.Example.COM");
+        let prefix: Vec<&str> = name.strip_suffix(&n("example.com")).unwrap().collect();
+        assert_eq!(prefix, ["A", "B"]);
     }
 }

@@ -165,7 +165,9 @@ impl SpfTestAuthority {
                 // §6.2: the probe source domains publish DMARC reject
                 // policies so that any mail claiming to be from them is
                 // rejected outright rather than delivered.
-                if prefix.first().is_some_and(|l| l.eq_ignore_ascii_case("_dmarc")) {
+                let mut labels = prefix;
+                let (first, second) = (labels.next(), labels.next());
+                if first.is_some_and(|l| l.eq_ignore_ascii_case("_dmarc")) {
                     response.answers.push(Record::new(
                         question.name.clone(),
                         self.ttl,
@@ -174,8 +176,8 @@ impl SpfTestAuthority {
                     return response;
                 }
                 // The probe's MAIL FROM domain is exactly <id>.<suite>.origin.
-                if prefix.len() == 2 {
-                    let policy = self.policy_for(&prefix[0], &prefix[1]);
+                if let (Some(id), Some(suite), None) = (first, second, labels.next()) {
+                    let policy = self.policy_for(id, suite);
                     response.answers.push(Record::new(
                         question.name.clone(),
                         self.ttl,

@@ -68,6 +68,62 @@ impl Config {
                     ],
                 ),
                 (
+                    "crates/dns/src/name.rs".to_string(),
+                    vec!["splice_content".to_string(), "strip_suffix".to_string()],
+                ),
+                // One probe attempt, from the prober through the MTA's
+                // replay path to classification, allocates only what
+                // outlives it: the sender domain and the logged names.
+                (
+                    "crates/prober/src/probe.rs".to_string(),
+                    vec![
+                        "next_occurrence".to_string(),
+                        "probe_attempt_record".to_string(),
+                        "run_transaction".to_string(),
+                        "run_once".to_string(),
+                        "plan".to_string(),
+                    ],
+                ),
+                (
+                    "crates/prober/src/classify.rs".to_string(),
+                    vec!["classify".to_string(), "decode_prefix".to_string()],
+                ),
+                (
+                    "crates/world/src/lazy.rs".to_string(),
+                    vec!["build_mta_record".to_string()],
+                ),
+                (
+                    "crates/mta/src/mta.rs".to_string(),
+                    vec![
+                        "connect".to_string(),
+                        "replay_connections".to_string(),
+                        "open_session".to_string(),
+                        "record_validation".to_string(),
+                        "replay_script".to_string(),
+                    ],
+                ),
+                // The standard replies hold static or borrowed text;
+                // `new` and `parse` own caller text by design.
+                (
+                    "crates/smtp/src/reply.rs".to_string(),
+                    [
+                        "fixed",
+                        "banner",
+                        "ok",
+                        "ehlo_ok",
+                        "start_mail_input",
+                        "closing",
+                        "service_unavailable",
+                        "greylisted",
+                        "mailbox_unavailable",
+                        "spf_rejected",
+                        "bad_sequence",
+                        "syntax_error",
+                    ]
+                    .map(str::to_string)
+                    .to_vec(),
+                ),
+                (
                     "crates/dns/src/resolver.rs".to_string(),
                     vec![
                         "resolve".to_string(),

@@ -5,7 +5,11 @@
 //! the SMTP transaction things fail, at which stage SPF runs, and which
 //! SPF implementation(s) the host links against.
 
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+
 use spfail_libspf2::MacroBehavior;
+use spfail_smtp::Hostname;
 
 /// What happens when the prober opens a TCP connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,11 +54,75 @@ pub enum SpfStage {
     OnData,
 }
 
+/// The SPF implementations an MTA runs, in run order: up to
+/// [`SpfImpls::MAX`] behaviours held inline, so a configuration copies
+/// without touching the heap. Reads and in-place edits go through the
+/// slice it derefs to.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SpfImpls {
+    len: u8,
+    list: [MacroBehavior; SpfImpls::MAX],
+}
+
+impl SpfImpls {
+    /// The most implementations one MTA chains.
+    pub const MAX: usize = 4;
+
+    /// The list `impls`, in order.
+    ///
+    /// # Panics
+    ///
+    /// If `impls` holds more than [`SpfImpls::MAX`] entries.
+    pub fn new(impls: &[MacroBehavior]) -> SpfImpls {
+        assert!(
+            impls.len() <= SpfImpls::MAX,
+            "an MTA chains at most {} SPF implementations",
+            SpfImpls::MAX
+        );
+        let mut list = [MacroBehavior::Compliant; SpfImpls::MAX];
+        list[..impls.len()].copy_from_slice(impls);
+        SpfImpls {
+            len: impls.len() as u8,
+            list,
+        }
+    }
+
+    /// A token naming this exact list, order included: one 4-bit digit
+    /// per implementation (its discriminant plus one, so no digit is
+    /// zero and lists of different lengths differ).
+    pub fn token(&self) -> u64 {
+        self.iter().fold(0, |token, &b| token << 4 | (b as u64 + 1))
+    }
+}
+
+// Every behaviour's token digit fits in four bits.
+const _: () = assert!((MacroBehavior::MacroUnsupported as u64) < 15);
+
+impl Deref for SpfImpls {
+    type Target = [MacroBehavior];
+
+    fn deref(&self) -> &[MacroBehavior] {
+        &self.list[..usize::from(self.len)]
+    }
+}
+
+impl DerefMut for SpfImpls {
+    fn deref_mut(&mut self) -> &mut [MacroBehavior] {
+        &mut self.list[..usize::from(self.len)]
+    }
+}
+
+impl fmt::Debug for SpfImpls {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Full behavioural configuration of a simulated MTA.
 #[derive(Debug, Clone)]
 pub struct MtaConfig {
     /// The hostname used in banners.
-    pub hostname: String,
+    pub hostname: Hostname,
     /// Connection acceptance.
     pub connect: ConnectPolicy,
     /// Mid-transaction failure behaviour.
@@ -65,7 +133,7 @@ pub struct MtaConfig {
     /// models an MTA chained with a spam filter (SpamAssassin/Rspamd
     /// style), each validating independently — the paper's ≥2-distinct-
     /// expansion hosts (§7.9).
-    pub spf_impls: Vec<MacroBehavior>,
+    pub spf_impls: SpfImpls,
     /// Whether unknown (sender, recipient) pairs are greylisted with a 450
     /// on first contact.
     pub greylist: bool,
@@ -82,13 +150,13 @@ pub struct MtaConfig {
 
 impl MtaConfig {
     /// A plain, RFC-compliant MTA validating at `MAIL FROM`.
-    pub fn compliant(hostname: &str) -> MtaConfig {
+    pub fn compliant(hostname: impl Into<Hostname>) -> MtaConfig {
         MtaConfig {
-            hostname: hostname.to_string(),
+            hostname: hostname.into(),
             connect: ConnectPolicy::Accept,
             quirk: SmtpQuirk::None,
             spf_stage: SpfStage::OnMailFrom,
-            spf_impls: vec![MacroBehavior::Compliant],
+            spf_impls: SpfImpls::new(&[MacroBehavior::Compliant]),
             greylist: false,
             reject_on_spf_fail: true,
             blacklist_after: None,
@@ -97,9 +165,9 @@ impl MtaConfig {
     }
 
     /// A vulnerable-libSPF2 MTA validating at `MAIL FROM`.
-    pub fn vulnerable(hostname: &str) -> MtaConfig {
+    pub fn vulnerable(hostname: impl Into<Hostname>) -> MtaConfig {
         MtaConfig {
-            spf_impls: vec![MacroBehavior::VulnerableLibSpf2],
+            spf_impls: SpfImpls::new(&[MacroBehavior::VulnerableLibSpf2]),
             ..MtaConfig::compliant(hostname)
         }
     }
@@ -107,7 +175,7 @@ impl MtaConfig {
     /// Replace every vulnerable implementation with a patched/compliant
     /// one — what happens when the host's operator updates the package.
     pub fn apply_patch(&mut self) {
-        for spf_impl in &mut self.spf_impls {
+        for spf_impl in self.spf_impls.iter_mut() {
             if spf_impl.is_vulnerable() {
                 *spf_impl = MacroBehavior::PatchedLibSpf2;
             }
@@ -134,14 +202,34 @@ mod tests {
     }
 
     #[test]
+    fn impl_tokens_name_the_ordered_list() {
+        use MacroBehavior::*;
+        let lists: [&[MacroBehavior]; 6] = [
+            &[],
+            &[Compliant],
+            &[VulnerableLibSpf2],
+            &[Compliant, VulnerableLibSpf2],
+            &[VulnerableLibSpf2, Compliant],
+            &[MacroUnsupported, MacroUnsupported, Compliant, NoExpansion],
+        ];
+        let tokens: Vec<u64> = lists.iter().map(|l| SpfImpls::new(l).token()).collect();
+        for (i, a) in tokens.iter().enumerate() {
+            for b in &tokens[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+    }
+
+    #[test]
     fn patching_replaces_vulnerable_impls_only() {
         let mut config = MtaConfig::vulnerable("mx.test");
-        config.spf_impls.push(MacroBehavior::NoExpansion);
+        config.spf_impls =
+            SpfImpls::new(&[MacroBehavior::VulnerableLibSpf2, MacroBehavior::NoExpansion]);
         config.apply_patch();
         assert!(!config.is_vulnerable());
         assert_eq!(
-            config.spf_impls,
-            vec![MacroBehavior::PatchedLibSpf2, MacroBehavior::NoExpansion],
+            *config.spf_impls,
+            [MacroBehavior::PatchedLibSpf2, MacroBehavior::NoExpansion],
             "non-vulnerable quirks are untouched by a libSPF2 update"
         );
     }

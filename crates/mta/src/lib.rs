@@ -19,5 +19,6 @@
 pub mod config;
 pub mod mta;
 
-pub use config::{ConnectPolicy, MtaConfig, SmtpQuirk, SpfStage};
+pub use config::{ConnectPolicy, MtaConfig, SmtpQuirk, SpfImpls, SpfStage};
 pub use mta::{new_policy_cache, Mta, PolicyCacheHandle, ValidationRecord};
+pub use spfail_smtp::Hostname;

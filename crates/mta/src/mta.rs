@@ -73,9 +73,6 @@ pub struct Mta {
     /// Shard-shared compiled-policy cache; `None` runs the original
     /// interpretive evaluation loop.
     policy_cache: Option<Arc<Mutex<PolicyCache>>>,
-    /// The implementation-mix token of [`ScriptKey::impls`], joined once
-    /// at construction so per-validation cache lookups borrow it.
-    impls_label: String,
 }
 
 /// What `connect()` decided.
@@ -114,12 +111,6 @@ impl Mta {
         clock: SimClock,
         rng: SimRng,
     ) -> Mta {
-        let impls_label = config
-            .spf_impls
-            .iter()
-            .map(|b| b.label())
-            .collect::<Vec<_>>()
-            .join(",");
         Mta {
             resolver: Resolver::new(directory, dns_link, ip),
             config,
@@ -133,7 +124,6 @@ impl Mta {
             pending_sender: None,
             validations: Vec::new(),
             policy_cache: None,
-            impls_label,
         }
     }
 
@@ -195,7 +185,7 @@ impl Mta {
                 let reply = if self.rng.chance(0.5) {
                     Reply::service_unavailable()
                 } else {
-                    Reply::new(554, "Transaction failed: sender blocked")
+                    Reply::fixed(554, "Transaction failed: sender blocked")
                 };
                 return ConnectDecision::RejectedBanner(reply);
             }
@@ -203,7 +193,7 @@ impl Mta {
         match self.config.connect {
             ConnectPolicy::Refuse => ConnectDecision::Refused,
             ConnectPolicy::RejectBanner(code) => {
-                ConnectDecision::RejectedBanner(Reply::new(code, "Service rejecting connections"))
+                ConnectDecision::RejectedBanner(Reply::fixed(code, "Service rejecting connections"))
             }
             ConnectPolicy::Accept => ConnectDecision::Proceed,
         }
@@ -235,8 +225,7 @@ impl Mta {
 
     /// Open the SMTP session after a `Proceed` decision.
     pub fn open_session(&mut self) -> (ServerSession<&mut Mta>, Reply) {
-        let hostname = self.config.hostname.clone();
-        ServerSession::open(&hostname, self)
+        ServerSession::open(self.config.hostname, self)
     }
 
     /// Run SPF validation for `sender` with every configured
@@ -251,9 +240,9 @@ impl Mta {
 
     /// The original interpretive evaluation loop — the cache-off baseline.
     fn run_spf_interpretive(&mut self, sender: &EmailAddress) -> Option<Reply> {
-        let impls = self.config.spf_impls.clone();
+        let impls = self.config.spf_impls;
         let mut reject: Option<Reply> = None;
-        for behavior in impls {
+        for &behavior in impls.iter() {
             let mut expander = behavior.expander();
             let result = {
                 let mut dns = ResolverDns {
@@ -286,10 +275,8 @@ impl Mta {
             return reject;
         }
         match result {
-            SpfResult::Fail if self.config.reject_on_spf_fail => {
-                Some(Reply::spf_rejected(sender.domain()))
-            }
-            SpfResult::TempError => Some(Reply::new(451, "Temporary SPF validation failure")),
+            SpfResult::Fail if self.config.reject_on_spf_fail => Some(Reply::spf_rejected(sender)),
+            SpfResult::TempError => Some(Reply::fixed(451, "Temporary SPF validation failure")),
             _ => None,
         }
     }
@@ -311,7 +298,7 @@ impl Mta {
                     domain_rest,
                     sender.local(),
                     self.peer,
-                    &self.impls_label,
+                    self.config.spf_impls.token(),
                 );
                 if let Some(entry) = entry {
                     return self.replay_script(sender, id, &entry);
@@ -330,10 +317,10 @@ impl Mta {
         if record_candidate {
             self.resolver.begin_transcript();
         }
-        let impls = self.config.spf_impls.clone();
+        let impls = self.config.spf_impls;
         let mut results: Vec<(&'static str, SpfResult)> = Vec::with_capacity(impls.len());
         let mut reject: Option<Reply> = None;
-        for behavior in impls {
+        for &behavior in impls.iter() {
             let mut expander = behavior.expander();
             let result = {
                 let mut guard = cache.lock();
@@ -355,7 +342,7 @@ impl Mta {
                     domain_rest: domain_rest.to_string(),
                     sender_local: sender.local().to_string(),
                     client_ip: self.peer,
-                    impls: self.impls_label.clone(),
+                    impls: self.config.spf_impls.token(),
                 };
                 if let Some(entry) = self.build_script(sender, &key, &transcript, &results) {
                     cache.lock().insert_script(key, entry);
@@ -675,7 +662,7 @@ fn splice_rdata(template: &RDataTemplate, id: &str) -> Option<RData> {
 impl ServerPolicy for &mut Mta {
     fn on_mail_from(&mut self, sender: Option<&EmailAddress>) -> Option<Reply> {
         if let SmtpQuirk::RejectMailFrom(code) = self.config.quirk {
-            return Some(Reply::new(code, "Sender rejected by policy"));
+            return Some(Reply::fixed(code, "Sender rejected by policy"));
         }
         self.pending_sender = sender.cloned();
         self.rejected_rcpts_this_envelope = 0;
@@ -691,7 +678,7 @@ impl ServerPolicy for &mut Mta {
 
     fn on_rcpt_to(&mut self, recipient: &EmailAddress) -> Option<Reply> {
         if let SmtpQuirk::RejectAllRcpt(code) = self.config.quirk {
-            return Some(Reply::new(code, "No such recipient"));
+            return Some(Reply::fixed(code, "No such recipient"));
         }
         let is_postmaster = recipient.local().eq_ignore_ascii_case("postmaster");
         // RFC 5321 §4.5.1 says postmaster MUST be accepted; compliant
@@ -720,14 +707,14 @@ impl ServerPolicy for &mut Mta {
 
     fn on_data_begin(&mut self) -> Option<Reply> {
         if let SmtpQuirk::RejectData(code) = self.config.quirk {
-            return Some(Reply::new(code, "DATA not accepted"));
+            return Some(Reply::fixed(code, "DATA not accepted"));
         }
         None
     }
 
     fn on_message(&mut self, _body: &str) -> Option<Reply> {
         if let SmtpQuirk::RejectMessage(code) = self.config.quirk {
-            return Some(Reply::new(code, "Message rejected by content policy"));
+            return Some(Reply::fixed(code, "Message rejected by content policy"));
         }
         if self.config.spf_stage == SpfStage::OnData {
             if let Some(sender) = self.pending_sender.clone() {
@@ -746,6 +733,7 @@ impl ServerPolicy for &mut Mta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SpfImpls;
     use spfail_dns::{QueryLog, SpfTestAuthority};
     use spfail_smtp::command::Command;
     use std::sync::Arc;
@@ -877,10 +865,10 @@ mod tests {
     #[test]
     fn multiple_impls_emit_multiple_patterns() {
         let mut config = MtaConfig::vulnerable("mx.multi.test");
-        config.spf_impls = vec![
+        config.spf_impls = SpfImpls::new(&[
             spfail_libspf2::MacroBehavior::VulnerableLibSpf2,
             spfail_libspf2::MacroBehavior::Compliant,
-        ];
+        ]);
         config.reject_on_spf_fail = false;
         let (mut m, log) = mta(config);
         drive_through_mail_from(&mut m);
@@ -911,10 +899,10 @@ mod tests {
             let mut validations = Vec::new();
             for (i, addr) in [addr1, addr2].iter().enumerate() {
                 let mut config = MtaConfig::vulnerable("mx.victim.test");
-                config.spf_impls = vec![
+                config.spf_impls = SpfImpls::new(&[
                     spfail_libspf2::MacroBehavior::VulnerableLibSpf2,
                     spfail_libspf2::MacroBehavior::Compliant,
-                ];
+                ]);
                 let mut m = Mta::new(
                     config,
                     format!("198.51.100.{}", 10 + i).parse().unwrap(),

@@ -24,7 +24,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use spfail_dns::{Name, QueryLogEntry, RecordType};
+use spfail_dns::{Labels, Name, QueryLogEntry, RecordType};
 use spfail_libspf2::MacroBehavior;
 
 /// Every macro behaviour, in declaration order; the index of a behaviour
@@ -312,15 +312,13 @@ pub fn classify(
             RecordType::TXT | RecordType::SPF if prefix.is_empty() => {
                 result.spf_triggered = true;
             }
-            RecordType::A | RecordType::AAAA => {
-                match decode_prefix(&prefix, id, suite) {
-                    Decoded::Baseline => {}
-                    Decoded::Behavior(b) => {
-                        result.behaviors.insert(b);
-                    }
-                    Decoded::Unknown => result.unknown_patterns += 1,
+            RecordType::A | RecordType::AAAA => match decode_prefix(prefix, id, suite) {
+                Decoded::Baseline => {}
+                Decoded::Behavior(b) => {
+                    result.behaviors.insert(b);
                 }
-            }
+                Decoded::Unknown => result.unknown_patterns += 1,
+            },
             _ => {}
         }
     }
@@ -343,12 +341,21 @@ enum Decoded {
     Unknown,
 }
 
-fn decode_prefix(prefix: &[String], id: &str, suite: &str) -> Decoded {
+fn decode_prefix(prefix: Labels<'_>, id: &str, suite: &str) -> Decoded {
     let eq = |a: &str, b: &str| a.eq_ignore_ascii_case(b);
+    // The longest fingerprint has six labels; reading one more is
+    // enough to tell any longer prefix apart.
+    let mut labels = [""; 7];
+    let mut len = 0;
+    for label in prefix.take(labels.len()) {
+        labels[len] = label;
+        len += 1;
+    }
+    let prefix = &labels[..len];
     match prefix.len() {
         0 => Decoded::Behavior(MacroBehavior::EmptyExpansion),
         1 => {
-            let label = prefix[0].as_str();
+            let label = prefix[0];
             if eq(label, "b") {
                 Decoded::Baseline
             } else if eq(label, id) {
@@ -362,16 +369,16 @@ fn decode_prefix(prefix: &[String], id: &str, suite: &str) -> Decoded {
             }
         }
         5 => {
-            let reversed_ok = eq(&prefix[0], "org")
-                && eq(&prefix[1], "dns-lab")
-                && eq(&prefix[2], "spf-test")
-                && eq(&prefix[3], suite)
-                && eq(&prefix[4], id);
-            let forward_ok = eq(&prefix[0], id)
-                && eq(&prefix[1], suite)
-                && eq(&prefix[2], "spf-test")
-                && eq(&prefix[3], "dns-lab")
-                && eq(&prefix[4], "org");
+            let reversed_ok = eq(prefix[0], "org")
+                && eq(prefix[1], "dns-lab")
+                && eq(prefix[2], "spf-test")
+                && eq(prefix[3], suite)
+                && eq(prefix[4], id);
+            let forward_ok = eq(prefix[0], id)
+                && eq(prefix[1], suite)
+                && eq(prefix[2], "spf-test")
+                && eq(prefix[3], "dns-lab")
+                && eq(prefix[4], "org");
             if reversed_ok {
                 Decoded::Behavior(MacroBehavior::ReverseNoTruncate)
             } else if forward_ok {
@@ -381,12 +388,12 @@ fn decode_prefix(prefix: &[String], id: &str, suite: &str) -> Decoded {
             }
         }
         6 => {
-            let dup_ok = eq(&prefix[0], "org")
-                && eq(&prefix[1], "org")
-                && eq(&prefix[2], "dns-lab")
-                && eq(&prefix[3], "spf-test")
-                && eq(&prefix[4], suite)
-                && eq(&prefix[5], id);
+            let dup_ok = eq(prefix[0], "org")
+                && eq(prefix[1], "org")
+                && eq(prefix[2], "dns-lab")
+                && eq(prefix[3], "spf-test")
+                && eq(prefix[4], suite)
+                && eq(prefix[5], id);
             if dup_ok {
                 Decoded::Behavior(MacroBehavior::VulnerableLibSpf2)
             } else {

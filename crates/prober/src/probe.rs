@@ -1,9 +1,10 @@
 //! Driving one probe transaction against one simulated host.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::net::IpAddr;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use spfail_dns::{Directory, QueryLog, SpfTestAuthority};
 use spfail_mta::mta::ConnectDecision;
@@ -415,6 +416,9 @@ pub struct Prober<'w> {
     /// `.{suite}.{zone}`: every probe's sender domain is its id followed
     /// by this suffix.
     sender_suffix: String,
+    /// Scratch for the current probe's sender domain, reused so a probe
+    /// copies the domain only into its sender address.
+    sender_domain: String,
     source_ip: IpAddr,
     ctx: ProbeContext,
     base_rng: SimRng,
@@ -426,7 +430,10 @@ pub struct Prober<'w> {
     options: ProbeOptions,
     metrics: Metrics,
     next_id: u64,
+    /// Repetition counters of the current probe day's probe identities.
     occurrences: HashMap<(u32, u16, u8, u32), u64>,
+    /// The day `occurrences` counts (`None` before the first probe).
+    occurrences_day: Option<u16>,
 }
 
 impl<'w> Prober<'w> {
@@ -466,6 +473,7 @@ impl<'w> Prober<'w> {
             pop,
             suite: suite.to_string(),
             sender_suffix: format!(".{suite}.{}", pop.runtime().zone_origin.to_ascii()),
+            sender_domain: String::new(),
             source_ip: "203.0.113.25".parse().expect("static address"),
             ethics: EthicsGuard::with_budget(ctx.clock.clone(), max_concurrent),
             rng: base_rng.fork("id-sequence"),
@@ -476,6 +484,7 @@ impl<'w> Prober<'w> {
             metrics: Metrics::new(),
             next_id: 0,
             occurrences: HashMap::new(),
+            occurrences_day: None,
         }
     }
 
@@ -537,6 +546,28 @@ impl<'w> Prober<'w> {
         entries: impl IntoIterator<Item = ((u32, u16, u8, u32), u64)>,
     ) {
         self.occurrences = entries.into_iter().collect();
+        self.occurrences_day = self.occurrences.keys().map(|&(_, day, _, _)| day).max();
+    }
+
+    /// How many times this prober has issued the probe `key` before,
+    /// counting this one. Keys carry the probe day and a prober's days
+    /// only increase (the snapshot probes through a fresh prober), so
+    /// the counters of earlier days are never read again: they are
+    /// dropped when a new day starts, and the map holds one day's probes.
+    fn next_occurrence(&mut self, key: (u32, u16, u8, u32)) -> u64 {
+        let day = key.1;
+        debug_assert!(
+            self.occurrences_day.map_or(true, |current| current <= day),
+            "probe days only increase on one prober"
+        );
+        if self.occurrences_day != Some(day) {
+            self.occurrences.clear();
+            self.occurrences_day = Some(day);
+        }
+        let counter = self.occurrences.entry(key).or_insert(0);
+        let occurrence = *counter;
+        *counter += 1;
+        occurrence
     }
 
     /// Drop the probe-repetition counters of every host not in `keep`
@@ -661,15 +692,7 @@ impl<'w> Prober<'w> {
         extra_connections: u32,
     ) -> ProbeOutcome {
         let test_tag = test.tag();
-        let occurrence = {
-            let counter = self
-                .occurrences
-                .entry((host.0, day, test_tag, extra_connections))
-                .or_insert(0);
-            let occurrence = *counter;
-            *counter += 1;
-            occurrence
-        };
+        let occurrence = self.next_occurrence((host.0, day, test_tag, extra_connections));
         let mut rng = self.base_rng.fork_fmt(format_args!(
             "probe-h{}-d{day}-t{test_tag}-x{extra_connections}-n{occurrence}",
             host.0
@@ -770,6 +793,7 @@ impl<'w> Prober<'w> {
         // probe identity, so a retried probe re-rolls the resolver's
         // fault dice instead of replaying the same timeout forever.
         let dns_salt = self.options.faults.dns.is_active().then(|| {
+            // lint:allow(alloc-hot-path) the salt is formatted only when DNS faults are on
             format!(
                 "dns-h{}-d{day}-t{test_tag}-x{extra_connections}-n{occurrence}",
                 host.0
@@ -794,7 +818,13 @@ impl<'w> Prober<'w> {
         mta.replay_connections(self.source_ip, extra_connections);
 
         let log_start = self.ctx.query_log.len();
-        let sender_domain = format!("{id}{}", self.sender_suffix);
+        self.sender_domain.clear();
+        self.sender_domain.push_str(id.as_str());
+        self.sender_domain.push_str(&self.sender_suffix);
+        let sender = plan_parts()
+            .sender
+            .at_domain(&self.sender_domain)
+            .expect("probe sender domains are valid by construction");
         // The MTA's resolver reports into this prober's metrics; the
         // delta across the transaction tells us whether injected DNS
         // faults disturbed this particular probe's measurement.
@@ -802,8 +832,7 @@ impl<'w> Prober<'w> {
             let snap = self.metrics.snapshot();
             (snap.dns_timeouts, snap.dns_servfails)
         });
-        let transaction =
-            self.run_transaction(&mut mta, IpAddr::V4(record.ip), &sender_domain, test);
+        let transaction = self.run_transaction(&mut mta, IpAddr::V4(record.ip), &sender, test);
         let dns_fault = dns_before.and_then(|(timeouts, servfails)| {
             let snap = self.metrics.snapshot();
             if snap.dns_timeouts > timeouts {
@@ -814,13 +843,10 @@ impl<'w> Prober<'w> {
                 None
             }
         });
-        let entries = self.ctx.query_log.entries_from(log_start);
-        let classification = classify(
-            &entries,
-            id.as_str(),
-            &self.suite,
-            &self.pop.runtime().zone_origin,
-        );
+        let zone = &self.pop.runtime().zone_origin;
+        let classification = self.ctx.query_log.with_entries_from(log_start, |entries| {
+            classify(entries, id.as_str(), &self.suite, zone)
+        });
 
         ProbeOutcome {
             host,
@@ -930,7 +956,7 @@ impl<'w> Prober<'w> {
         &mut self,
         mta: &mut Mta,
         ip: IpAddr,
-        sender_domain: &str,
+        sender: &EmailAddress,
         test: ProbeTest,
     ) -> Option<TransactionOutcome> {
         let mut attempt = 0;
@@ -942,7 +968,7 @@ impl<'w> Prober<'w> {
             self.ctx
                 .tracer
                 .enter(self.ctx.clock.now(), SpanKind::SmtpSession);
-            let outcome = self.run_once(mta, sender_domain, test);
+            let outcome = self.run_once(mta, sender, test);
             self.ctx.tracer.exit(
                 self.ctx.clock.now(),
                 SpanKind::SmtpSession,
@@ -973,7 +999,7 @@ impl<'w> Prober<'w> {
     fn run_once(
         &mut self,
         mta: &mut Mta,
-        sender_domain: &str,
+        sender: &EmailAddress,
         test: ProbeTest,
     ) -> Option<TransactionOutcome> {
         debug_assert!(
@@ -984,7 +1010,7 @@ impl<'w> Prober<'w> {
             ConnectDecision::Refused => return None,
             ConnectDecision::RejectedBanner(reply) => reply,
             ConnectDecision::Proceed => {
-                let plan = self.plan(sender_domain, test);
+                let plan = Self::plan(sender, test);
                 let (mut session, banner) = mta.open_session();
                 let mut runner = ClientRunner::new(plan);
                 let mut action = runner.on_reply(&banner);
@@ -1010,7 +1036,7 @@ impl<'w> Prober<'w> {
             }
         };
         // A rejecting banner concludes the transaction immediately.
-        let plan = self.plan(sender_domain, test);
+        let plan = Self::plan(sender, test);
         let mut runner = ClientRunner::new(plan);
         match runner.on_reply(&banner) {
             ClientAction::Finish(outcome) | ClientAction::HangUp(outcome) => Some(outcome),
@@ -1018,30 +1044,38 @@ impl<'w> Prober<'w> {
         }
     }
 
-    fn plan(&self, sender_domain: &str, test: ProbeTest) -> TransactionPlan {
-        // The recipient ladder is the same for every probe; build it once
-        // and hand out shared-part clones (addresses are `Arc<str>` pairs).
-        static LADDER: std::sync::OnceLock<Vec<EmailAddress>> = std::sync::OnceLock::new();
-        let sender = EmailAddress::new("mmj7yzdm0tbk", sender_domain)
-            .expect("probe sender addresses are valid by construction");
-        let recipients = LADDER
-            .get_or_init(|| {
-                USERNAME_LADDER
-                    .iter()
-                    .map(|user| {
-                        EmailAddress::new(user, "recipient.invalid")
-                            .expect("ladder usernames are valid")
-                    })
-                    .collect()
-            })
-            .clone();
+    fn plan(sender: &EmailAddress, test: ProbeTest) -> TransactionPlan {
         TransactionPlan {
-            helo_domain: "probe.dns-lab.org".to_string(),
-            sender,
-            recipients,
+            helo_domain: Cow::Borrowed("probe.dns-lab.org"),
+            sender: sender.clone(),
+            recipients: Arc::clone(&plan_parts().recipients),
             step: test.step(),
         }
     }
+}
+
+/// The parts of every probe's transaction plan that never change, built
+/// once and shared by every plan.
+struct PlanParts {
+    /// The probe sender's local part, at a placeholder domain: each
+    /// probe re-homes it at its own sender domain.
+    sender: EmailAddress,
+    /// The recipient username ladder.
+    recipients: Arc<[EmailAddress]>,
+}
+
+fn plan_parts() -> &'static PlanParts {
+    static PARTS: OnceLock<PlanParts> = OnceLock::new();
+    PARTS.get_or_init(|| PlanParts {
+        sender: EmailAddress::new("mmj7yzdm0tbk", "sender.invalid")
+            .expect("the probe sender is a valid address"),
+        recipients: USERNAME_LADDER
+            .iter()
+            .map(|user| {
+                EmailAddress::new(user, "recipient.invalid").expect("ladder usernames are valid")
+            })
+            .collect(),
+    })
 }
 
 #[cfg(test)]

@@ -130,9 +130,9 @@ pub struct WorldAggregates {
     /// Pairwise overlap counts among [`TABLE1_SETS`].
     pub overlaps: [[usize; 3]; 3],
     /// TLD histogram of the Alexa Top List.
-    pub tld_alexa: BTreeMap<String, usize>,
+    pub tld_alexa: BTreeMap<&'static str, usize>,
     /// TLD histogram of the 2-Week MX set.
-    pub tld_two_week: BTreeMap<String, usize>,
+    pub tld_two_week: BTreeMap<&'static str, usize>,
     /// Address-level Table 3 outcomes per set.
     pub addresses: [Outcomes; 5],
     /// Domain-level Table 3 outcomes per set.
@@ -181,8 +181,8 @@ impl WorldAggregates {
 struct Fold {
     set_counts: [usize; 5],
     overlaps: [[usize; 3]; 3],
-    tld_alexa: BTreeMap<String, usize>,
-    tld_two_week: BTreeMap<String, usize>,
+    tld_alexa: BTreeMap<&'static str, usize>,
+    tld_two_week: BTreeMap<&'static str, usize>,
     domains: [Outcomes; 5],
     table4_domains: [Breakdown; 5],
     host_sets: Vec<u8>,
@@ -221,10 +221,10 @@ impl Fold {
             }
         }
         if bits & (1 << SetFilter::AlexaTopList.index()) != 0 {
-            *self.tld_alexa.entry(domain.tld.clone()).or_default() += 1;
+            *self.tld_alexa.entry(domain.tld).or_default() += 1;
         }
         if bits & (1 << SetFilter::TwoWeek.index()) != 0 {
-            *self.tld_two_week.entry(domain.tld.clone()).or_default() += 1;
+            *self.tld_two_week.entry(domain.tld).or_default() += 1;
         }
         for &host in &domain.hosts {
             self.host_sets[host.0 as usize] |= bits;

@@ -67,10 +67,9 @@ pub fn table2_streaming(sc: &StreamContext) -> Exhibit {
 fn table2_impl(src: &Source) -> Exhibit {
     let agg = src.aggregates();
     let mut table = Table::new(["#", "Alexa TLD", "Count", "2-Week TLD", "Count"]);
-    let top15 = |counts: &BTreeMap<String, usize>| -> Vec<(String, usize)> {
-        let mut sorted: Vec<(String, usize)> =
-            counts.iter().map(|(t, c)| (t.clone(), *c)).collect();
-        sorted.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let top15 = |counts: &BTreeMap<&'static str, usize>| -> Vec<(&'static str, usize)> {
+        let mut sorted: Vec<(&'static str, usize)> = counts.iter().map(|(t, c)| (*t, *c)).collect();
+        sorted.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
         sorted.truncate(15);
         sorted
     };
@@ -79,11 +78,11 @@ fn table2_impl(src: &Source) -> Exhibit {
     for i in 0..15 {
         let (at, ac) = alexa
             .get(i)
-            .map(|(t, c)| (t.clone(), c.to_string()))
+            .map(|(t, c)| (t.to_string(), c.to_string()))
             .unwrap_or_default();
         let (wt, wc) = two_week
             .get(i)
-            .map(|(t, c)| (t.clone(), c.to_string()))
+            .map(|(t, c)| (t.to_string(), c.to_string()))
             .unwrap_or_default();
         table.row([format!("{}", i + 1), at, ac, wt, wc]);
     }
@@ -248,9 +247,9 @@ pub fn table5_streaming(sc: &StreamContext) -> Exhibit {
 fn table5_impl(src: &Source) -> Exhibit {
     let campaign = src.campaign();
     let min_group = ((50.0 * src.config().scale).round() as usize).max(3);
-    let mut per_tld: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+    let mut per_tld: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
     for &domain in &campaign.vulnerable_domains {
-        let tld = src.domain(domain).tld.clone();
+        let tld = src.domain(domain).tld;
         let entry = per_tld.entry(tld).or_default();
         entry.1 += 1;
         if campaign.snapshot.get(&domain) == Some(&SnapshotStatus::Patched) {
@@ -261,7 +260,12 @@ fn table5_impl(src: &Source) -> Exhibit {
         .iter()
         .filter(|(_, (_, total))| *total >= min_group)
         .map(|(tld, (patched, total))| {
-            (tld.clone(), *patched, *total, *patched as f64 / *total as f64)
+            (
+                tld.to_string(),
+                *patched,
+                *total,
+                *patched as f64 / *total as f64,
+            )
         })
         .collect();
     rows.sort_by(|a, b| b.3.partial_cmp(&a.3).expect("rates are finite"));

@@ -50,6 +50,22 @@ impl EmailAddress {
         {
             return Err(AddressError::BadLocalPart);
         }
+        Ok(EmailAddress {
+            local: Arc::from(local),
+            domain: Self::check_domain(domain)?,
+        })
+    }
+
+    /// This address's local part at `domain`, which is validated as in
+    /// [`EmailAddress::new`]. The local part is shared, not copied.
+    pub fn at_domain(&self, domain: &str) -> Result<EmailAddress, AddressError> {
+        Ok(EmailAddress {
+            local: Arc::clone(&self.local),
+            domain: Self::check_domain(domain)?,
+        })
+    }
+
+    fn check_domain(domain: &str) -> Result<Arc<str>, AddressError> {
         if domain.is_empty()
             || domain.starts_with('.')
             || domain.ends_with('.')
@@ -60,10 +76,7 @@ impl EmailAddress {
         {
             return Err(AddressError::BadDomain);
         }
-        Ok(EmailAddress {
-            local: Arc::from(local),
-            domain: Arc::from(domain),
-        })
+        Ok(Arc::from(domain))
     }
 
     /// Parse `local@domain`, with or without surrounding angle brackets.
@@ -144,6 +157,15 @@ mod tests {
             EmailAddress::parse("us er@example.com"),
             Err(AddressError::BadLocalPart)
         );
+    }
+
+    #[test]
+    fn at_domain_shares_the_local_part_and_checks_the_domain() {
+        let a = EmailAddress::parse("user@example.com").unwrap();
+        let b = a.at_domain("other.test").unwrap();
+        assert_eq!(b, EmailAddress::parse("user@other.test").unwrap());
+        assert!(Arc::ptr_eq(&a.local, &b.local));
+        assert_eq!(a.at_domain("bad..domain"), Err(AddressError::BadDomain));
     }
 
     #[test]

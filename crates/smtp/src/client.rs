@@ -12,6 +12,9 @@
 //! [`ClientRunner`] is the sans-IO mirror of the server session: the caller
 //! feeds it replies and it yields the next [`ClientAction`].
 
+use std::borrow::Cow;
+use std::sync::Arc;
+
 use spfail_netsim::ProbeError;
 
 use crate::address::EmailAddress;
@@ -27,16 +30,17 @@ pub enum TransactionStep {
     SendBlankMessage,
 }
 
-/// A planned SMTP transaction.
+/// A planned SMTP transaction. The HELO name and the recipient ladder
+/// are shared, so plans that differ only in their sender copy nothing.
 #[derive(Debug, Clone)]
 pub struct TransactionPlan {
     /// Domain announced in `EHLO`.
-    pub helo_domain: String,
+    pub helo_domain: Cow<'static, str>,
     /// Envelope sender (the unique probe address).
     pub sender: EmailAddress,
     /// Recipient candidates, tried in order while the server rejects them
     /// with permanent failures (the paper's username ladder).
-    pub recipients: Vec<EmailAddress>,
+    pub recipients: Arc<[EmailAddress]>,
     /// Probe variant.
     pub step: TransactionStep,
 }
@@ -369,7 +373,7 @@ mod tests {
         c.on_reply(&Reply::ok());
         c.on_reply(&Reply::start_mail_input());
         assert_eq!(
-            c.on_reply(&Reply::spf_rejected("b.test")),
+            c.on_reply(&Reply::spf_rejected(&addr("a@b.test"))),
             ClientAction::Finish(TransactionOutcome::MessageRejected(550))
         );
     }

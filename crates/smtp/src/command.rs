@@ -1,5 +1,6 @@
 //! SMTP client commands.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::address::EmailAddress;
@@ -8,9 +9,9 @@ use crate::address::EmailAddress;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
     /// `HELO <domain>` — the legacy greeting.
-    Helo(String),
+    Helo(Cow<'static, str>),
     /// `EHLO <domain>` — the extended greeting.
-    Ehlo(String),
+    Ehlo(Cow<'static, str>),
     /// `MAIL FROM:<reverse-path>`.
     MailFrom(EmailAddress),
     /// `MAIL FROM:<>` — the null reverse-path used by bounce messages.
@@ -33,10 +34,10 @@ impl Command {
         let line = line.trim_end_matches(['\r', '\n']);
         let upper = line.to_ascii_uppercase();
         if let Some(rest) = strip_verb(line, &upper, "HELO") {
-            return Some(Command::Helo(rest.trim().to_string()));
+            return Some(Command::Helo(rest.trim().to_string().into()));
         }
         if let Some(rest) = strip_verb(line, &upper, "EHLO") {
-            return Some(Command::Ehlo(rest.trim().to_string()));
+            return Some(Command::Ehlo(rest.trim().to_string().into()));
         }
         if let Some(rest) = strip_verb(line, &upper, "MAIL FROM:") {
             let rest = rest.trim();

@@ -24,5 +24,5 @@ pub mod session;
 pub use address::{AddressError, EmailAddress};
 pub use client::{TransactionOutcome, TransactionPlan, TransactionStep};
 pub use command::Command;
-pub use reply::{Reply, ReplyCategory};
+pub use reply::{Hostname, Reply, ReplyCategory};
 pub use session::{ServerPolicy, ServerSession, SessionEvent, SessionState};

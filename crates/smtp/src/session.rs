@@ -9,7 +9,7 @@
 
 use crate::address::EmailAddress;
 use crate::command::Command;
-use crate::reply::Reply;
+use crate::reply::{Hostname, Reply};
 
 /// Decisions a policy can make for a protocol event.
 ///
@@ -91,7 +91,7 @@ pub const MAX_MESSAGE_SIZE: usize = 10_485_760;
 
 /// A server-side SMTP session.
 pub struct ServerSession<P: ServerPolicy> {
-    hostname: String,
+    hostname: Hostname,
     policy: P,
     state: SessionState,
     sender: Option<EmailAddress>,
@@ -103,10 +103,10 @@ pub struct ServerSession<P: ServerPolicy> {
 impl<P: ServerPolicy> ServerSession<P> {
     /// Open a session: runs the connect hook and returns the banner (or the
     /// refusal reply, in which case the session is already [`SessionState::Closed`]).
-    pub fn open(hostname: &str, mut policy: P) -> (ServerSession<P>, Reply) {
+    pub fn open(hostname: impl Into<Hostname>, mut policy: P) -> (ServerSession<P>, Reply) {
         let decision = policy.on_connect();
         let mut session = ServerSession {
-            hostname: hostname.to_string(),
+            hostname: hostname.into(),
             policy,
             state: SessionState::Connected,
             sender: None,
@@ -121,7 +121,7 @@ impl<P: ServerPolicy> ServerSession<P> {
             }
             Some(reply) => (session, reply),
             None => {
-                let banner = Reply::banner(&session.hostname);
+                let banner = Reply::banner(session.hostname);
                 (session, banner)
             }
         }
@@ -169,7 +169,7 @@ impl<P: ServerPolicy> ServerSession<P> {
                     None => {
                         self.state = SessionState::Greeted;
                         if matches!(command, Command::Ehlo(_)) {
-                            Reply::ehlo_ok(&self.hostname)
+                            Reply::ehlo_ok(self.hostname)
                         } else {
                             Reply::ok()
                         }
@@ -246,7 +246,7 @@ impl<P: ServerPolicy> ServerSession<P> {
         if body.len() > MAX_MESSAGE_SIZE {
             self.state = SessionState::Greeted;
             self.reset_envelope();
-            return Reply::new(552, "Message size exceeds fixed maximum message size");
+            return Reply::fixed(552, "Message size exceeds fixed maximum message size");
         }
         match self.policy.on_message(body) {
             Some(reply) if reply.is_failure() => {
@@ -400,7 +400,7 @@ mod tests {
 
     impl ServerPolicy for RejectAtData {
         fn on_message(&mut self, _body: &str) -> Option<Reply> {
-            Some(Reply::spf_rejected("b.test"))
+            Some(Reply::spf_rejected(&addr("a@b.test")))
         }
     }
 

@@ -537,7 +537,7 @@ pub struct ScriptKey {
     /// The SMTP client's address.
     pub client_ip: IpAddr,
     /// Caller-composed token identifying the SPF implementation mix.
-    pub impls: String,
+    pub impls: u64,
 }
 
 /// One replayable DNS exchange of a memoized evaluation.
@@ -606,7 +606,7 @@ fn script_hash(
     domain_rest: &str,
     sender_local: &str,
     client_ip: IpAddr,
-    impls: &str,
+    impls: u64,
 ) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
@@ -625,7 +625,7 @@ impl ScriptKey {
             &self.domain_rest,
             &self.sender_local,
             self.client_ip,
-            &self.impls,
+            self.impls,
         )
     }
 
@@ -635,7 +635,7 @@ impl ScriptKey {
         domain_rest: &str,
         sender_local: &str,
         client_ip: IpAddr,
-        impls: &str,
+        impls: u64,
     ) -> bool {
         self.id_len == id_len
             && self.client_ip == client_ip
@@ -689,7 +689,7 @@ impl PolicyCache {
             &key.domain_rest,
             &key.sender_local,
             key.client_ip,
-            &key.impls,
+            key.impls,
         )
     }
 
@@ -701,7 +701,7 @@ impl PolicyCache {
         domain_rest: &str,
         sender_local: &str,
         client_ip: IpAddr,
-        impls: &str,
+        impls: u64,
     ) -> Option<Arc<ScriptEntry>> {
         let hash = script_hash(id_len, domain_rest, sender_local, client_ip, impls);
         let entry = self.scripts.get(&hash).and_then(|bucket| {

@@ -27,7 +27,7 @@ pub struct DomainRecord {
     /// The domain name (synthetic, unique).
     pub name: String,
     /// Its TLD.
-    pub tld: String,
+    pub tld: &'static str,
     /// Rank in the Alexa Top List (1-based), if a member.
     pub alexa_rank: Option<u32>,
     /// Rank by MX-query frequency in the 2-Week MX set (1-based), if a
@@ -161,7 +161,7 @@ mod tests {
     fn membership_predicates() {
         let d = DomainRecord {
             name: "a5.com".into(),
-            tld: "com".into(),
+            tld: "com",
             alexa_rank: Some(5),
             two_week_rank: Some(12),
             top_provider: false,

@@ -48,6 +48,17 @@ const COUNTRIES: [(&str, f64, f64, f64); 24] = [
     ("mx", 23.5, -102.0, 1.2),
 ];
 
+/// The hosting weights of [`COUNTRIES`], in row order.
+const WEIGHTS: [f64; COUNTRIES.len()] = {
+    let mut weights = [0.0; COUNTRIES.len()];
+    let mut i = 0;
+    while i < COUNTRIES.len() {
+        weights[i] = COUNTRIES[i].3;
+        i += 1;
+    }
+    weights
+};
+
 /// Country-coded TLDs we map directly to a country.
 const CC_TLDS: [&str; 22] = [
     "de", "fr", "nl", "uk", "ru", "cn", "jp", "kr", "in", "br", "ca", "au", "ir", "tr", "ua",
@@ -63,8 +74,7 @@ pub fn locate(tld: &str, rng: &mut SimRng) -> GeoPoint {
             .find(|(c, _, _, _)| *c == tld)
             .expect("every ccTLD has a country row")
     } else {
-        let weights: Vec<f64> = COUNTRIES.iter().map(|(_, _, _, w)| *w).collect();
-        let idx = rng.pick_weighted(&weights).expect("non-empty weights");
+        let idx = rng.pick_weighted(&WEIGHTS).expect("non-empty weights");
         &COUNTRIES[idx]
     };
     let (country, lat, lon, _) = *country_row;

@@ -3,7 +3,7 @@
 use std::net::Ipv4Addr;
 
 use spfail_libspf2::MacroBehavior;
-use spfail_mta::{ConnectPolicy, MtaConfig, SmtpQuirk, SpfStage};
+use spfail_mta::{ConnectPolicy, Hostname, MtaConfig, SmtpQuirk, SpfImpls, SpfStage};
 use spfail_netsim::SimRng;
 
 use crate::config::{SetRates, WorldConfig};
@@ -41,7 +41,7 @@ pub struct HostProfile {
     /// When SPF validation runs.
     pub spf_stage: SpfStage,
     /// The SPF implementation(s).
-    pub impls: Vec<MacroBehavior>,
+    pub impls: SpfImpls,
     /// Greylisting on first contact.
     pub greylist: bool,
     /// Recipient-ladder depth rejected before acceptance.
@@ -97,13 +97,13 @@ impl HostProfile {
     }
 
     /// Materialise an [`MtaConfig`] for this host as of `day`.
-    pub fn mta_config(&self, hostname: &str, day: u16) -> MtaConfig {
+    pub fn mta_config(&self, hostname: Hostname, day: u16) -> MtaConfig {
         let mut config = MtaConfig {
-            hostname: hostname.to_string(),
+            hostname,
             connect: self.connect,
             quirk: self.quirk,
             spf_stage: self.spf_stage,
-            spf_impls: self.impls.clone(),
+            spf_impls: self.impls,
             greylist: self.greylist,
             reject_on_spf_fail: true,
             blacklist_after: self.blacklist_after,
@@ -126,7 +126,7 @@ pub struct HostRecord {
     /// The set whose rates generated this host.
     pub primary_set: SetMembership,
     /// TLD of the host's primary domain (drives geo and patch rates).
-    pub primary_tld: String,
+    pub primary_tld: &'static str,
     /// Whether the host serves an Alexa Top 1000 domain.
     pub serves_top1000: bool,
     /// Behaviour profile.
@@ -201,8 +201,7 @@ pub fn sample_profile(
     } else {
         MacroBehavior::Compliant
     };
-    let mut impls = vec![primary];
-    if spf_stage != SpfStage::Never && rng.chance(config.multi_impl_rate) {
+    let impls = if spf_stage != SpfStage::Never && rng.chance(config.multi_impl_rate) {
         let second = loop {
             let candidate = match rng.below(10) {
                 0 => MacroBehavior::VulnerableLibSpf2,
@@ -213,8 +212,10 @@ pub fn sample_profile(
                 break candidate;
             }
         };
-        impls.push(second);
-    }
+        SpfImpls::new(&[primary, second])
+    } else {
+        SpfImpls::new(&[primary])
+    };
 
     let vulnerable = impls.iter().any(|b| b.is_vulnerable());
     let distro = PackageManager::sample_vulnerable_host_distro(rng);
@@ -267,8 +268,16 @@ fn sample_quirk_behavior(rng: &mut SimRng) -> MacroBehavior {
         (MacroBehavior::EmptyExpansion, 0.06),
         (MacroBehavior::MacroUnsupported, 0.06),
     ];
-    let weights: Vec<f64> = QUIRKS.iter().map(|(_, w)| *w).collect();
-    QUIRKS[rng.pick_weighted(&weights).expect("non-empty")].0
+    const WEIGHTS: [f64; QUIRKS.len()] = {
+        let mut weights = [0.0; QUIRKS.len()];
+        let mut i = 0;
+        while i < QUIRKS.len() {
+            weights[i] = QUIRKS[i].1;
+            i += 1;
+        }
+        weights
+    };
+    QUIRKS[rng.pick_weighted(&WEIGHTS).expect("non-empty")].0
 }
 
 /// Sample whether/when a vulnerable host patches.
@@ -373,7 +382,7 @@ mod tests {
         for i in 0..2_000 {
             let p = sample_profile(&config, &rates(), "com", 0.5, None, &mut rng);
             if p.spf_stage == SpfStage::Never {
-                assert_eq!(p.impls, vec![MacroBehavior::Compliant], "host {i}");
+                assert_eq!(*p.impls, [MacroBehavior::Compliant], "host {i}");
             }
             if p.patch_day.is_some() {
                 assert!(p.impls.iter().any(|b| b.is_vulnerable()));
@@ -491,7 +500,7 @@ mod tests {
             connect: ConnectPolicy::Accept,
             quirk: SmtpQuirk::None,
             spf_stage: SpfStage::OnMailFrom,
-            impls: vec![MacroBehavior::VulnerableLibSpf2],
+            impls: SpfImpls::new(&[MacroBehavior::VulnerableLibSpf2]),
             greylist: false,
             rcpt_reject_first_n: 0,
             reject_postmaster: false,
@@ -504,8 +513,8 @@ mod tests {
         assert!(profile.initially_vulnerable());
         assert!(profile.is_vulnerable_on(100));
         assert!(!profile.is_vulnerable_on(101));
-        assert!(profile.mta_config("mx.test", 50).is_vulnerable());
-        assert!(!profile.mta_config("mx.test", 101).is_vulnerable());
+        assert!(profile.mta_config("mx.test".into(), 50).is_vulnerable());
+        assert!(!profile.mta_config("mx.test".into(), 101).is_vulnerable());
     }
 
     #[test]

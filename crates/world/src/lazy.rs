@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use spfail_dns::{Directory, Name, QueryLog, SpfTestAuthority};
 use spfail_libspf2::MacroBehavior;
-use spfail_mta::{ConnectPolicy, Mta, SpfStage};
+use spfail_mta::{ConnectPolicy, Hostname, Mta, SpfImpls, SpfStage};
 use spfail_netsim::{LatencyModel, Link, SimClock, SimRng};
 
 use crate::config::WorldConfig;
@@ -103,8 +103,12 @@ impl WorldRuntime {
         clock: SimClock,
         instrumentation: MtaInstrumentation<'_>,
     ) -> Mta {
-        let hostname = format!("mx{}.{}", host.0, record.primary_tld);
-        let config = record.profile.mta_config(&hostname, day);
+        let hostname = Hostname::Numbered {
+            prefix: "mx",
+            number: host.0,
+            domain: record.primary_tld,
+        };
+        let config = record.profile.mta_config(hostname, day);
         let link = Link::new(
             LatencyModel::ZERO,
             instrumentation.dns_faults,
@@ -396,9 +400,12 @@ pub struct LazyWorld {
     cutoff: usize,
     alexa_tlds: TldSampler,
     two_week_tlds: TldSampler,
-    /// Precomputed 2-Week rank per domain index — the rank shuffle is
-    /// the one global draw in generation. O(two-week set) `u32`s.
-    two_week_rank: HashMap<u32, u32>,
+    /// Precomputed `(domain index, 2-Week rank)` pairs sorted by index —
+    /// the rank shuffle is the one global draw in generation. O(two-week
+    /// set) `u32`s, read in step with the domain stream.
+    two_week_ranks: Vec<(u32, u32)>,
+    /// The next unread entry of `two_week_ranks`.
+    two_week_cursor: usize,
     // Sequential per-domain RNG streams, consumed in domain-id order.
     tld_rng: SimRng,
     churn_rng: SimRng,
@@ -452,11 +459,12 @@ impl LazyWorld {
         let mut rank_rng = rng.fork("two-week-ranks");
         let mut shuffled = two_week_members.clone();
         rank_rng.shuffle(&mut shuffled);
-        let two_week_rank: HashMap<u32, u32> = shuffled
+        let mut two_week_ranks: Vec<(u32, u32)> = shuffled
             .iter()
             .enumerate()
             .map(|(rank0, idx)| (*idx as u32, rank0 as u32 + 1))
             .collect();
+        two_week_ranks.sort_unstable();
 
         let alexa_tlds = TldSampler::alexa(&config);
         let two_week_tlds = TldSampler::two_week(&config);
@@ -469,7 +477,8 @@ impl LazyWorld {
             cutoff,
             alexa_tlds,
             two_week_tlds,
-            two_week_rank,
+            two_week_ranks,
+            two_week_cursor: 0,
             tld_rng: rng.fork("alexa-tlds"),
             churn_rng: rng.fork("churn"),
             mx_rng: rng.fork("mx"),
@@ -514,7 +523,7 @@ impl LazyWorld {
     fn push_host(
         &mut self,
         set: SetMembership,
-        tld: &str,
+        tld: &'static str,
         rank_fraction: f64,
         refuse_override: Option<f64>,
         serves_top1000: bool,
@@ -547,7 +556,7 @@ impl LazyWorld {
             ip,
             geo,
             primary_set: set,
-            primary_tld: tld.to_string(),
+            primary_tld: tld,
             serves_top1000,
             profile,
         });
@@ -557,7 +566,7 @@ impl LazyWorld {
     }
 
     /// A parked/no-MX host: almost always refuses connections.
-    fn parking_host(&mut self, tld: &str) -> HostId {
+    fn parking_host(&mut self, tld: &'static str) -> HostId {
         if self.parking_slots == 0 {
             let id = self.push_host(SetMembership::Alexa, tld, 0.9, Some(0.92), false);
             self.parking_last = Some(id);
@@ -572,7 +581,7 @@ impl LazyWorld {
     fn mail_hosts(
         &mut self,
         set: SetMembership,
-        tld: &str,
+        tld: &'static str,
         rank_fraction: f64,
         serves_top1000: bool,
     ) -> Vec<HostId> {
@@ -598,7 +607,7 @@ impl LazyWorld {
     }
 
     /// Hosts for a top email provider: several addresses, no refusals.
-    fn provider_hosts(&mut self, tld: &str, provider_index: usize) -> Vec<HostId> {
+    fn provider_hosts(&mut self, tld: &'static str, provider_index: usize) -> Vec<HostId> {
         let count = 2 + self.rng.below(4) as usize;
         // §7.5 names exactly four vulnerable providers; the rest are kept
         // explicitly clean so the reference-set counts stay calibrated.
@@ -615,14 +624,14 @@ impl LazyWorld {
                     if profile.spf_stage == SpfStage::Never {
                         profile.spf_stage = SpfStage::OnData;
                     }
-                    profile.impls = vec![MacroBehavior::VulnerableLibSpf2];
+                    profile.impls = SpfImpls::new(&[MacroBehavior::VulnerableLibSpf2]);
                     // §7.5: none of the vulnerable providers patched during
                     // the four months of measurement.
                     profile.patch_day = None;
                     profile.patch_cause = None;
                     profile.blacklist_after = blacklist;
                 } else {
-                    for b in &mut profile.impls {
+                    for b in profile.impls.iter_mut() {
                         if b.is_vulnerable() {
                             *b = MacroBehavior::Compliant;
                         }
@@ -661,7 +670,7 @@ impl Iterator for LazyWorld {
                 let tld = PROVIDER_TLDS[i];
                 DomainRecord {
                     name: format!("mailprov{i}.{tld}"),
-                    tld: tld.to_string(),
+                    tld,
                     alexa_rank: Some(rank as u32),
                     two_week_rank: None,
                     top_provider: true,
@@ -672,7 +681,7 @@ impl Iterator for LazyWorld {
             } else {
                 DomainRecord {
                     name: format!("a{rank}.{tld}"),
-                    tld: tld.to_string(),
+                    tld,
                     alexa_rank: Some(rank as u32),
                     two_week_rank: None,
                     top_provider: false,
@@ -686,7 +695,7 @@ impl Iterator for LazyWorld {
             let tld = self.two_week_tlds.sample(&mut self.tld_rng);
             DomainRecord {
                 name: format!("m{i}.{tld}"),
-                tld: tld.to_string(),
+                tld,
                 alexa_rank: None,
                 two_week_rank: None,
                 top_provider: false,
@@ -695,7 +704,14 @@ impl Iterator for LazyWorld {
                 hosts: Vec::new(),
             }
         };
-        record.two_week_rank = self.two_week_rank.get(&(idx as u32)).copied();
+        // Domains are emitted in index order, so the sorted rank column
+        // is read by a cursor.
+        if let Some(&(member, rank)) = self.two_week_ranks.get(self.two_week_cursor) {
+            if member as usize == idx {
+                record.two_week_rank = Some(rank);
+                self.two_week_cursor += 1;
+            }
+        }
         if record.alexa_rank.is_some()
             && record.two_week_rank.is_none()
             && !record.top_provider
@@ -714,14 +730,14 @@ impl Iterator for LazyWorld {
             (None, None) => 0.75,
         };
         let in_top1000 = record.in_alexa_top(self.cutoff);
-        let tld = record.tld.clone();
+        let tld = record.tld;
         let host_ids = if record.top_provider {
             // Providers occupy ranks 6..6+P, i.e. indices 5..5+P.
-            self.provider_hosts(&tld, idx - 5)
+            self.provider_hosts(tld, idx - 5)
         } else if !record.has_mx {
-            vec![self.parking_host(&tld)]
+            vec![self.parking_host(tld)]
         } else {
-            self.mail_hosts(set, &tld, rank_fraction, in_top1000)
+            self.mail_hosts(set, tld, rank_fraction, in_top1000)
         };
         record.hosts = host_ids;
 

@@ -174,8 +174,16 @@ impl PackageManager {
             (PackageManager::Suse, 0.06),
             (PackageManager::Other, 0.15),
         ];
-        let weights: Vec<f64> = CHOICES.iter().map(|(_, w)| *w).collect();
-        let idx = rng.pick_weighted(&weights).expect("non-empty");
+        const WEIGHTS: [f64; CHOICES.len()] = {
+            let mut weights = [0.0; CHOICES.len()];
+            let mut i = 0;
+            while i < CHOICES.len() {
+                weights[i] = CHOICES[i].1;
+                i += 1;
+            }
+            weights
+        };
+        let idx = rng.pick_weighted(&WEIGHTS).expect("non-empty");
         CHOICES[idx].0
     }
 }

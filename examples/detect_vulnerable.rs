@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use spfail::dns::{Directory, PcapSink, QueryLog, SpfTestAuthority};
 use spfail::libspf2::MacroBehavior;
-use spfail::mta::{Mta, MtaConfig};
+use spfail::mta::{Mta, MtaConfig, SpfImpls};
 use spfail::netsim::{SimClock, SimRng};
 use spfail::prober::classify;
 use spfail::smtp::address::EmailAddress;
@@ -107,7 +107,7 @@ fn main() {
 
     println!("=== probing mx.sloppy.example (reverses but never truncates) ===");
     let mut sloppy = MtaConfig::compliant("mx.sloppy.example");
-    sloppy.spf_impls = vec![MacroBehavior::ReverseNoTruncate];
+    sloppy.spf_impls = SpfImpls::new(&[MacroBehavior::ReverseNoTruncate]);
     probe(&mut build(sloppy, 3), &log, "cc3", "demo");
 
     // Everything the measurement server saw, as a real capture file —

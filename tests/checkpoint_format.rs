@@ -179,6 +179,36 @@ fn checkpoint_cut_inside_the_worker_section_is_rejected() {
     assert!(err.contains("truncated"), "unexpected error: {err}");
 }
 
+/// A prober keeps repetition counters for its current probe day only:
+/// after each round, every `wocc` entry carries that round's day, in the
+/// sequential and the sharded engine.
+#[test]
+fn worker_occurrences_hold_only_the_latest_round() {
+    let world = World::generate(small(2024));
+    for shards in [1, 3] {
+        let mut session = CampaignBuilder::new().shards(shards).session(&world);
+        session.initial_sweep();
+        for _ in 0..4 {
+            let day = session.advance_round().expect("rounds remain");
+            let state = session.to_state();
+            let days: Vec<u16> = state
+                .workers
+                .iter()
+                .flat_map(|w| &w.occurrences)
+                .map(|&((_, d, _, _), _)| d)
+                .collect();
+            assert!(
+                !days.is_empty(),
+                "{shards} shard(s): the round probed hosts"
+            );
+            assert!(
+                days.iter().all(|&d| d == day),
+                "{shards} shard(s), round day {day}: {days:?}"
+            );
+        }
+    }
+}
+
 /// `text` with `extra` inserted after the first line `after` matches,
 /// and the `end` trailer recounted so only the insertion is wrong.
 fn insert_line(text: &str, after: impl Fn(&str) -> bool, extra: &str) -> String {

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use spfail::dns::{Directory, QueryLog, SpfTestAuthority};
 use spfail::libspf2::MacroBehavior;
-use spfail::mta::{Mta, MtaConfig, SpfStage};
+use spfail::mta::{Mta, MtaConfig, SpfImpls, SpfStage};
 use spfail::netsim::{SimClock, SimRng};
 use spfail::prober::classify;
 use spfail::smtp::address::EmailAddress;
@@ -104,7 +104,7 @@ fn every_behaviour_classifies_back_to_itself() {
     ];
     for (behavior, expected, id) in cases {
         let mut config = MtaConfig::compliant("mx.matrix.test");
-        config.spf_impls = vec![behavior];
+        config.spf_impls = SpfImpls::new(&[behavior]);
         config.reject_on_spf_fail = false;
         let classification = rig.probe(config, id);
         assert!(
@@ -144,10 +144,10 @@ fn vulnerable_is_detectable_at_both_validation_stages() {
 fn chained_filters_show_multiple_patterns() {
     let rig = Rig::new();
     let mut config = MtaConfig::vulnerable("mx.chained.test");
-    config.spf_impls = vec![
+    config.spf_impls = SpfImpls::new(&[
         MacroBehavior::VulnerableLibSpf2,
         MacroBehavior::NoExpansion,
-    ];
+    ]);
     config.reject_on_spf_fail = false;
     let classification = rig.probe(config, "x9");
     assert!(classification.multi_pattern());

@@ -336,8 +336,11 @@ fn concat_makes_subdomains() {
             assert!(child.is_subdomain_of(&base));
             assert_eq!(child.parent(), base);
             assert_eq!(
-                child.strip_suffix(&base).expect("is a subdomain"),
-                vec![prefix]
+                child
+                    .strip_suffix(&base)
+                    .expect("is a subdomain")
+                    .collect::<Vec<_>>(),
+                vec![prefix.as_str()]
             );
         }
     }
@@ -392,7 +395,24 @@ fn name_ops_match_label_list_model() {
             let rebuilt = prefix.concat(&suffix).expect("fits");
             assert_eq!(rebuilt, name);
             assert_eq!(rebuilt.to_ascii(), name.to_ascii());
-            assert_eq!(name.strip_suffix(&suffix), Some(model[..split].to_vec()));
+            let prefix_model: Vec<&str> = model[..split].iter().map(String::as_str).collect();
+            let stripped: Option<Vec<&str>> = name.strip_suffix(&suffix).map(Iterator::collect);
+            assert_eq!(stripped, Some(prefix_model.clone()));
+
+            // The borrowed labels keep the name's spelling whatever case
+            // the suffix is spelled in, and `is_empty` says whether any
+            // label is left.
+            let shouted = Name::from_labels(model[split..].iter().map(|l| l.to_ascii_uppercase()))
+                .expect("legal");
+            let labels = name
+                .strip_suffix(&shouted)
+                .expect("suffixes match case-blind");
+            assert_eq!(labels.is_empty(), split == 0);
+            assert_eq!(labels.collect::<Vec<_>>(), prefix_model);
+        }
+        // A name is never under a longer name.
+        if let Ok(longer) = name.child("x") {
+            assert!(name.strip_suffix(&longer).is_none());
         }
 
         // Comparisons fold case; the model's Vec equality does not.
